@@ -30,7 +30,7 @@ from collections.abc import Sequence
 from typing import TYPE_CHECKING
 
 from repro import obs
-from repro.core.columns import ColumnBatch
+from repro.core.columns import ColumnBatch, concat_rows
 from repro.exceptions import ServiceStoppedError
 from repro.segments.catalog import SegmentCatalog
 from repro.segments.evaluator import PredicateSetEvaluator, SegmentMatches
@@ -176,7 +176,7 @@ class MatchBatcher:
             if len(items) == 1:
                 rows: Sequence = items[0].rows
             else:
-                rows = [row for item in items for row in item.rows]
+                rows = concat_rows([item.rows for item in items])
             with obs.span(
                 "segments.batch.match",
                 requests=len(items),

@@ -35,27 +35,28 @@ from __future__ import annotations
 
 import threading
 import time
-from collections.abc import Sequence
 from typing import TYPE_CHECKING
 
 import numpy as np
 
 from repro import obs
 from repro.core.catalog import ModelCatalog
-from repro.core.columns import ColumnBatch
+from repro.core.columns import ColumnBatch, concat_rows
 from repro.exceptions import ServiceStoppedError
 
 if TYPE_CHECKING:
-    from repro.mining.base import MiningModel, Row
+    from repro.mining.base import MiningModel
 
 
 class _Pending:
-    """One request's scoring work: rows in, a result slice (or error) out."""
+    """One request's scoring work: a batch in, a result slice (or error)
+    out.  The caller blocks until ``done``, so the scorer thread is the
+    only one touching ``batch`` (and its column caches) meanwhile."""
 
-    __slots__ = ("rows", "done", "result", "error")
+    __slots__ = ("batch", "done", "result", "error")
 
-    def __init__(self, rows: "Sequence[Row]") -> None:
-        self.rows = rows
+    def __init__(self, batch: ColumnBatch) -> None:
+        self.batch = batch
         self.done = threading.Event()
         self.result: np.ndarray | None = None
         self.error: BaseException | None = None
@@ -103,7 +104,7 @@ class MicroBatcher:
         Exceptions raised by the model (or a missing model) propagate to
         the caller unchanged.
         """
-        item = _Pending(batch.rows())
+        item = _Pending(batch)
         with self._cond:
             if self._stopped:
                 raise ServiceStoppedError("micro-batcher is stopped")
@@ -153,27 +154,31 @@ class MicroBatcher:
         try:
             model = self._catalog.model(model_name)
             if len(items) == 1:
-                rows: Sequence = items[0].rows
+                # The caller's own batch: every column its envelope
+                # prefilter already converted is reused, not rebuilt.
+                batch = items[0].batch
             else:
-                rows = [row for item in items for row in item.rows]
+                batch = ColumnBatch(
+                    concat_rows([item.batch.rows() for item in items])
+                )
             with obs.span(
                 "serve.batch.score",
                 model=model_name,
                 requests=len(items),
-                rows=len(rows),
+                rows=len(batch),
             ):
-                predictions = model.predict_batch(ColumnBatch(rows))
+                predictions = model.predict_batch(batch)
             offset = 0
             for item in items:
-                width = len(item.rows)
+                width = len(item.batch)
                 item.result = predictions[offset : offset + width]
                 offset += width
             self.calls += 1
             self.requests += len(items)
-            self.rows_scored += len(rows)
+            self.rows_scored += len(batch)
             obs.add_counter("serve.batch.requests", len(items))
             obs.add_counter("serve.batch.calls")
-            obs.add_counter("serve.batch.rows", len(rows))
+            obs.add_counter("serve.batch.rows", len(batch))
             if len(items) > 1:
                 self.coalesced += len(items)
                 obs.add_counter("serve.batch.coalesced", len(items))

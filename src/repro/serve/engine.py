@@ -48,11 +48,13 @@ from dataclasses import dataclass, field, replace
 from collections.abc import Sequence
 
 from repro import obs
+from repro.core.columns import RowSet
 from repro.core.optimizer import MiningQuery
 from repro.core.predicates import Value
 from repro.exceptions import (
     AdmissionError,
     RequestTimeoutError,
+    SchemaError,
     ServeError,
     ServiceStoppedError,
 )
@@ -95,9 +97,10 @@ class QueryRequest:
 class MatchRequest:
     """One segment-match request over explicit row content.
 
-    ``rows`` is kept as given, not copied: in-process callers may pass
-    lazily-materialized sequences that are only iterated worker-side
-    (or at wire-encode time for byte transports).
+    ``rows`` is kept as given, not copied: a wire-decoded request holds
+    a columnar :class:`~repro.core.columns.RowSet`, in-process callers
+    may pass any sequence of row mappings (ragged ones cross a wire
+    as a tuple of dicts).
     """
 
     rows: "Sequence[Row]"
@@ -124,10 +127,12 @@ class DeployRequest:
     """
 
     model: dict
-    rows: tuple[Row, ...] | None = None
+    rows: "Sequence[Row] | None" = None
 
     def __post_init__(self) -> None:
-        if self.rows is not None and not isinstance(self.rows, tuple):
+        if self.rows is not None and not isinstance(
+            self.rows, (tuple, RowSet)
+        ):
             object.__setattr__(self, "rows", tuple(self.rows))
 
 
@@ -145,9 +150,14 @@ class RetireRequest:
 
 @dataclass(frozen=True)
 class ServeResult:
-    """One served request: result rows plus serving-side timings."""
+    """One served request: result rows plus serving-side timings.
 
-    rows: tuple
+    ``rows`` is the execution report's own
+    :class:`~repro.core.columns.RowSet` in process, and the one the
+    client rebuilt from the response's column buffers over a wire.
+    """
+
+    rows: "Sequence[Row]"
     strategy: str
     queue_seconds: float
     execute_seconds: float
@@ -659,20 +669,27 @@ class ServeEngine:
         Query requests include every referenced model's *catalog
         version*, so a request racing a redeploy never collapses onto an
         execution against the old envelopes; match requests are keyed on
-        exact row content and the segment catalog version.  ``None``
-        disables collapsing for this request.
+        exact row content — the row count plus name-sorted per-column
+        value tuples, so no per-row work; sorted rows only when they are
+        ragged — and the segment catalog version.  ``None`` disables
+        collapsing for this request.
         """
         if not self._collapsing:
             return None
         if isinstance(request, MatchRequest):
             assert self._segments is not None
+            try:
+                table = RowSet.from_rows(request.rows)
+                content = len(table), *sorted(zip(table.names, table.columns))
+            except SchemaError:
+                content = tuple(
+                    tuple(sorted(row.items())) for row in request.rows
+                )
             return (
                 "segments",
                 self._segments.version,
                 request.segments,
-                tuple(
-                    tuple(sorted(row.items())) for row in request.rows
-                ),
+                content,
             )
         query = request.query
         names: list[str] = []

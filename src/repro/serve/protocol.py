@@ -2,8 +2,9 @@
 
 A versioned, length-prefixed framed codec: every message on a serving
 connection is one **frame** — a fixed 16-byte header (magic, protocol
-version, frame kind, request id, payload length) followed by a JSON
-payload.  The request id multiplexes concurrent requests over one
+version, frame kind, request id, body length) followed by the body: a
+4-byte meta length, a canonical-JSON **meta** object, and a binary
+**tail**.  The request id multiplexes concurrent requests over one
 connection; the kind separates requests from responses and typed
 errors.  :class:`FrameDecoder` is an incremental parser: feed it bytes
 in any fragmentation — one byte at a time, several frames concatenated,
@@ -16,10 +17,16 @@ The payload codecs round-trip every typed request
 deploy/retire control messages), every typed response, and every
 :class:`~repro.exceptions.ReproError` subclass (by class name, with a
 :class:`~repro.exceptions.ServeError` fallback for unknown names).
-Values survive exactly: JSON distinguishes ``1``/``1.0``/``True`` and
-Python's ``repr``-based float serialization round-trips every finite
-float; the non-finite floats JSON cannot carry are tagged
-``{"__float__": "nan" | "inf" | "-inf"}``.
+Row payloads cross **column-wise** into a
+:class:`~repro.core.columns.RowSet`: per column the meta announces
+either a tail buffer — little-endian float64 when every value is exactly
+a ``float``, int64 when every value is exactly an ``int`` that fits — or
+a JSON value list; ragged rows cross null-padded over the union of their
+columns with the padded cells listed, and come back as a tuple of dicts.
+Values survive exactly: buffers are bit-exact, JSON
+distinguishes ``1``/``1.0``/``True`` and Python's ``repr``-based float
+serialization round-trips every finite float; the non-finite floats JSON
+cannot carry are tagged ``{"__float__": "nan" | "inf" | "-inf"}``.
 
 The one deliberate loss: a :class:`~repro.serve.engine.ServeResult`
 crossing the wire drops its ``report`` (the full
@@ -29,7 +36,9 @@ of the serving contract) — ``report`` is ``None`` on the client side.
 In-process loopback keeps it, so existing tests see no change.
 
 Malformed input — bad magic, unknown version or kind, oversized or
-truncated payloads, unknown tags — raises
+truncated payloads, a meta or column buffer overrunning its frame, a
+column of the wrong length, a column-less table announcing more than
+:data:`MAX_BARE_ROWS` rows, unknown tags — raises
 :class:`~repro.exceptions.ProtocolError` rather than anything
 json/struct-flavored, so transports can fail connections typed.
 """
@@ -39,8 +48,13 @@ from __future__ import annotations
 import json
 import math
 import struct
+from collections.abc import Sequence
+from itertools import chain
+
+import numpy as np
 
 import repro.exceptions as _exceptions
+from repro.core.columns import Row, RowSet
 from repro.core.optimizer import MiningQuery
 from repro.core.predicates import (
     FALSE,
@@ -62,7 +76,7 @@ from repro.core.rewrite import (
     PredictionJoinColumn,
     PredictionJoinPrediction,
 )
-from repro.exceptions import ProtocolError, ReproError, ServeError
+from repro.exceptions import ProtocolError, ReproError, SchemaError, ServeError
 from repro.ir.batch import MaskCacheStats
 from repro.serve.engine import (
     DeployRequest,
@@ -75,7 +89,7 @@ from repro.serve.engine import (
     ServeResult,
 )
 
-PROTOCOL_VERSION = 1
+PROTOCOL_VERSION = 2
 MAGIC = b"RS"
 
 #: Frame kinds.
@@ -87,18 +101,38 @@ _KINDS = frozenset({KIND_REQUEST, KIND_RESPONSE, KIND_ERROR})
 #: Header: magic(2s) version(B) kind(B) request_id(Q) length(I).
 _HEADER = struct.Struct("!2sBBQI")
 HEADER_BYTES = _HEADER.size
+#: The body opens with the byte length of its meta section.
+_META_LENGTH = struct.Struct("!I")
 
-#: Hard payload ceiling — a corrupt length field must not make the
+#: Hard body ceiling — a corrupt length field must not make the
 #: decoder buffer gigabytes before noticing.
 MAX_FRAME_BYTES = 64 * 1024 * 1024
 
+#: Rows a table without columns may announce: nothing in the frame grows
+#: with that count, so the frame ceiling alone would not bound it.
+MAX_BARE_ROWS = 1 << 16
+
+#: Column tag -> dtype of its tail buffer.
+_BUFFER_DTYPES = {"f": np.dtype("<f8"), "i": np.dtype("<i8")}
+
+
+class Payload(dict):
+    """A frame body: the JSON meta object plus the binary tail its
+    column descriptors consume in order."""
+
+    __slots__ = ("tail",)
+
+    def __init__(self, meta: dict, tail: "bytes | memoryview" = b"") -> None:
+        super().__init__(meta)
+        self.tail = tail
+
 
 class Frame:
-    """One decoded frame: kind, request id, and parsed JSON payload."""
+    """One decoded frame: kind, request id, and parsed payload."""
 
     __slots__ = ("kind", "request_id", "payload")
 
-    def __init__(self, kind: int, request_id: int, payload: dict) -> None:
+    def __init__(self, kind: int, request_id: int, payload: Payload) -> None:
         self.kind = kind
         self.request_id = request_id
         self.payload = payload
@@ -110,12 +144,11 @@ class Frame:
         )
 
 
-def encode_frame(kind: int, request_id: int, payload: dict) -> bytes:
-    """Serialize one frame (header plus JSON payload) to bytes."""
-    if kind not in _KINDS:
-        raise ProtocolError(f"unknown frame kind {kind}")
+def canonical_body(payload: dict) -> bytes:
+    """A payload's frame body: meta length, canonical-JSON meta, then the
+    binary tail (none for a plain ``dict``).  Equal payloads, equal bytes."""
     try:
-        body = json.dumps(
+        meta = json.dumps(
             payload,
             sort_keys=True,
             separators=(",", ":"),
@@ -125,6 +158,15 @@ def encode_frame(kind: int, request_id: int, payload: dict) -> bytes:
         raise ProtocolError(
             f"payload is not frame-serializable: {error}"
         ) from error
+    tail = getattr(payload, "tail", b"")
+    return b"".join((_META_LENGTH.pack(len(meta)), meta, tail))
+
+
+def encode_frame(kind: int, request_id: int, payload: dict) -> bytes:
+    """Serialize one frame to bytes: header, then the payload's body."""
+    if kind not in _KINDS:
+        raise ProtocolError(f"unknown frame kind {kind}")
+    body = canonical_body(payload)
     if len(body) > MAX_FRAME_BYTES:
         raise ProtocolError(
             f"payload of {len(body)} bytes exceeds the "
@@ -180,17 +222,28 @@ class FrameDecoder:
                 self._buffer[HEADER_BYTES : HEADER_BYTES + length]
             )
             del self._buffer[: HEADER_BYTES + length]
+            tail_start = _META_LENGTH.size
+            if length >= tail_start:
+                tail_start += _META_LENGTH.unpack_from(body)[0]
+            if tail_start > length:
+                raise ProtocolError(
+                    f"frame meta section ends at byte {tail_start} of a "
+                    f"{length}-byte payload"
+                )
             try:
-                payload = json.loads(body.decode("utf-8"))
+                meta = json.loads(
+                    body[_META_LENGTH.size : tail_start].decode("utf-8")
+                )
             except (UnicodeDecodeError, json.JSONDecodeError) as error:
                 raise ProtocolError(
-                    f"frame payload is not valid JSON: {error}"
+                    f"frame meta is not valid JSON: {error}"
                 ) from error
-            if not isinstance(payload, dict):
+            if not isinstance(meta, dict):
                 raise ProtocolError(
-                    "frame payload must be a JSON object, got "
-                    f"{type(payload).__name__}"
+                    "frame meta must be a JSON object, got "
+                    f"{type(meta).__name__}"
                 )
+            payload = Payload(meta, memoryview(body)[tail_start:])
             frames.append(Frame(kind, request_id, payload))
 
 
@@ -224,14 +277,107 @@ def decode_value(encoded):
     return encoded
 
 
-def _encode_row(row) -> dict:
-    return {column: encode_value(value) for column, value in row.items()}
+def _encode_table(rows, tail: list[bytes]) -> dict:
+    """A row payload as column descriptors, its buffers appended to
+    ``tail``.  A column crosses as ``["f" | "i", byte length]`` only when
+    a buffer reproduces every value *and its exact type*; None, bool, str,
+    mixed and out-of-int64 columns cross as ``["j", values]``.  Ragged
+    rows cross over the union of their columns, null-padded, with the
+    padded ``[row, column]`` cells listed under ``"absent"``."""
+    absent = None
+    try:
+        table = RowSet.from_rows(rows)
+    except SchemaError:
+        names = tuple(dict.fromkeys(chain.from_iterable(rows)))
+        absent = [
+            [i, j]
+            for i, row in enumerate(rows)
+            for j, name in enumerate(names)
+            if name not in row
+        ]
+        padded = [[row.get(name) for row in rows] for name in names]
+        table = RowSet(names, padded, len(rows))
+    if not table.names and len(table) > MAX_BARE_ROWS:
+        raise ProtocolError(
+            f"{len(table)} rows without columns exceed the "
+            f"{MAX_BARE_ROWS}-row ceiling"
+        )
+    columns: list[list] = []
+    for column in table.columns:
+        kinds = set(map(type, column))
+        buffer = None
+        if kinds == {float}:
+            tag, buffer = "f", np.array(column, dtype="<f8")
+        elif kinds == {int}:
+            try:
+                tag, buffer = "i", np.array(column, dtype="<i8")
+            except OverflowError:
+                pass
+        if buffer is None:
+            columns.append(["j", [encode_value(v) for v in column]])
+        else:
+            tail.append(buffer.tobytes())
+            columns.append([tag, buffer.nbytes])
+    encoded = {"n": len(table), "names": list(table.names), "cols": columns}
+    if absent is not None:
+        encoded["absent"] = absent
+    return encoded
 
 
-def _decode_row(encoded: dict) -> dict:
-    return {
-        column: decode_value(value) for column, value in encoded.items()
-    }
+def _decode_table(encoded: dict, payload: dict) -> "Sequence[Row]":
+    """Inverse of :func:`_encode_table`: a :class:`RowSet` whose buffers
+    are read off the payload's tail in column order, or a tuple of dicts
+    when cells are absent.  Every inconsistency is a
+    :class:`ProtocolError`."""
+    tail = getattr(payload, "tail", b"")
+    try:
+        count, names = encoded["n"], encoded["names"]
+        if (
+            not isinstance(count, int)
+            or count < 0
+            or (not names and count > MAX_BARE_ROWS)
+            or not all(isinstance(name, str) for name in names)
+        ):
+            raise ProtocolError(
+                f"malformed row table header n={count!r} names={names!r}"
+            )
+        columns: list[list] = []
+        offset = 0
+        for tag, body in encoded["cols"]:
+            if tag == "j":
+                column = [decode_value(value) for value in body]
+            elif tag in _BUFFER_DTYPES:
+                if (
+                    not isinstance(body, int)
+                    or body % 8
+                    or not 0 <= body <= len(tail) - offset
+                ):
+                    raise ProtocolError(
+                        f"column buffer of {body!r} bytes at byte {offset} is "
+                        f"not 8-byte values inside a {len(tail)}-byte tail"
+                    )
+                column = np.frombuffer(
+                    tail, _BUFFER_DTYPES[tag], body // 8, offset
+                ).tolist()
+                offset += body
+            else:
+                raise ProtocolError(f"unknown column tag {tag!r}")
+            if len(column) != count:
+                raise ProtocolError(
+                    f"column of {len(column)} values in a {count}-row table"
+                )
+            columns.append(column)
+        table = RowSet(names, columns, count)
+        if "absent" not in encoded:
+            return table
+        ragged = list(table)
+        for i, j in encoded["absent"]:
+            del ragged[i][names[j]]
+        return tuple(ragged)
+    except ProtocolError:
+        raise
+    except (KeyError, TypeError, ValueError, IndexError, SchemaError) as error:
+        raise ProtocolError(f"malformed row table: {error}") from error
 
 
 # ---------------------------------------------------------------------------
@@ -404,8 +550,13 @@ def decode_mining_predicate(payload: dict) -> MiningPredicate:
 
 def encode_request(
     request: "QueryRequest | MatchRequest | DeployRequest | RetireRequest",
-) -> dict:
-    """One typed request into its tagged JSON form."""
+) -> Payload:
+    """One typed request into its tagged payload."""
+    tail: list[bytes] = []
+    return Payload(_request_meta(request, tail), b"".join(tail))
+
+
+def _request_meta(request, tail: list[bytes]) -> dict:
     if isinstance(request, QueryRequest):
         return {
             "q": "query",
@@ -421,7 +572,7 @@ def encode_request(
     if isinstance(request, MatchRequest):
         return {
             "q": "match",
-            "rows": [_encode_row(row) for row in request.rows],
+            "rows": _encode_table(request.rows, tail),
             "segments": None
             if request.segments is None
             else list(request.segments),
@@ -436,7 +587,7 @@ def encode_request(
             "model": request.model,
             "rows": None
             if request.rows is None
-            else [_encode_row(row) for row in request.rows],
+            else _encode_table(request.rows, tail),
         }
     if isinstance(request, RetireRequest):
         return {"q": "retire", "name": request.name}
@@ -465,7 +616,7 @@ def decode_request(
             )
         if tag == "match":
             return MatchRequest(
-                rows=tuple(_decode_row(row) for row in payload["rows"]),
+                rows=_decode_table(payload["rows"], payload),
                 segments=None
                 if payload["segments"] is None
                 else tuple(payload["segments"]),
@@ -476,7 +627,7 @@ def decode_request(
                 model=payload["model"],
                 rows=None
                 if payload["rows"] is None
-                else tuple(_decode_row(row) for row in payload["rows"]),
+                else _decode_table(payload["rows"], payload),
             )
         if tag == "retire":
             return RetireRequest(name=payload["name"])
@@ -496,21 +647,30 @@ def decode_request(
 
 def encode_response(
     result: "ServeResult | SegmentMatchResult | DeployResult | RetireResult",
-) -> dict:
-    """One typed response into its tagged JSON form."""
+) -> Payload:
+    """One typed response into its tagged payload."""
+    tail: list[bytes] = []
+    return Payload(_response_meta(result, tail), b"".join(tail))
+
+
+def _response_meta(result, tail: list[bytes]) -> dict:
     if isinstance(result, ServeResult):
         return {
             "r": "result",
-            "rows": [_encode_row(row) for row in result.rows],
+            "rows": _encode_table(result.rows, tail),
             "strategy": result.strategy,
             "queue_seconds": result.queue_seconds,
             "execute_seconds": result.execute_seconds,
             "collapsed": result.collapsed,
         }
     if isinstance(result, SegmentMatchResult):
+        index = {name: i for i, name in enumerate(result.segment_names)}
         return {
             "r": "match",
-            "memberships": [list(m) for m in result.memberships],
+            "memberships": [
+                [index[name] for name in names]
+                for names in result.memberships
+            ],
             "segment_names": list(result.segment_names),
             "catalog_version": result.catalog_version,
             "queue_seconds": result.queue_seconds,
@@ -549,7 +709,7 @@ def decode_response(
         tag = payload["r"]
         if tag == "result":
             return ServeResult(
-                rows=tuple(_decode_row(row) for row in payload["rows"]),
+                rows=_decode_table(payload["rows"], payload),
                 strategy=payload["strategy"],
                 queue_seconds=payload["queue_seconds"],
                 execute_seconds=payload["execute_seconds"],
@@ -558,11 +718,13 @@ def decode_response(
             )
         if tag == "match":
             stats = payload["mask_stats"]
+            names = tuple(payload["segment_names"])
             return SegmentMatchResult(
                 memberships=tuple(
-                    tuple(m) for m in payload["memberships"]
+                    tuple(names[i] for i in m)
+                    for m in payload["memberships"]
                 ),
-                segment_names=tuple(payload["segment_names"]),
+                segment_names=names,
                 catalog_version=payload["catalog_version"],
                 queue_seconds=payload["queue_seconds"],
                 match_seconds=payload["match_seconds"],
@@ -589,7 +751,7 @@ def decode_response(
             )
     except ProtocolError:
         raise
-    except (KeyError, TypeError) as error:
+    except (KeyError, TypeError, IndexError) as error:
         raise ProtocolError(
             f"malformed response payload: {error}"
         ) from error

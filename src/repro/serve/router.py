@@ -43,7 +43,6 @@ append to their slot's shard).
 from __future__ import annotations
 
 import hashlib
-import json
 import multiprocessing
 import socket
 import threading
@@ -58,7 +57,7 @@ from repro.serve.engine import (
     RetireRequest,
     RetireResult,
 )
-from repro.serve.protocol import encode_request
+from repro.serve.protocol import canonical_body, encode_request
 from repro.serve.transport import SocketServer, SocketTransport, Transport
 
 #: Wait budget for a worker to exit after its socket closes.
@@ -105,11 +104,9 @@ def _route_key(request: "QueryRequest | MatchRequest") -> bytes:
     query with a different deadline must land on the same worker (same
     caches, same collapse window).
     """
-    payload = dict(encode_request(request))
+    payload = encode_request(request)
     payload.pop("timeout", None)
-    return json.dumps(
-        payload, sort_keys=True, separators=(",", ":")
-    ).encode("utf-8")
+    return canonical_body(payload)
 
 
 class ProcessRouter(Transport):

@@ -14,6 +14,7 @@ import sqlite3
 import time
 from collections.abc import Iterable, Iterator, Mapping, Sequence
 
+from repro.core.columns import RowSet
 from repro.core.predicates import Predicate, Value
 from repro.exceptions import DatabaseError, SchemaError
 from repro.sql.compiler import (
@@ -83,7 +84,6 @@ class Database:
         self._connection = sqlite3.connect(
             path, uri=uri, check_same_thread=check_same_thread
         )
-        self._connection.row_factory = sqlite3.Row
         # Analytics workload: bigger cache, no per-statement fsync cost.
         self._connection.execute("PRAGMA cache_size = -64000")
         self._connection.execute("PRAGMA synchronous = OFF")
@@ -233,16 +233,25 @@ class Database:
         except sqlite3.Error as exc:
             raise DatabaseError(f"{exc} (while executing: {sql})") from exc
 
-    def query_rows(self, sql: str) -> list[Row]:
+    def query_rows(self, sql: str) -> RowSet:
+        """The full result as one columnar table.
+
+        The cursor's tuples are transposed straight into columns; no
+        per-row object is built until a caller iterates the result.
+        """
         cursor = self.execute(sql)
-        return [dict(row) for row in cursor.fetchall()]
+        names = [column[0] for column in cursor.description]
+        fetched = cursor.fetchall()
+        columns = zip(*fetched) if fetched else [()] * len(names)
+        return RowSet(names, columns, len(fetched))
 
     def iter_rows(self, sql: str) -> Iterator[Row]:
         cursor = self.execute(sql)
+        names = [column[0] for column in cursor.description]
         for row in cursor:
-            yield dict(row)
+            yield dict(zip(names, row))
 
-    def select(self, table: str, predicate: Predicate) -> list[Row]:
+    def select(self, table: str, predicate: Predicate) -> RowSet:
         return self.query_rows(select_statement(table, predicate))
 
     def count(self, table: str, predicate: Predicate) -> int:
@@ -286,7 +295,7 @@ class Database:
             for r in cursor.fetchall()
         ]
 
-    def sample_rows(self, table: str, limit: int, seed: int = 0) -> list[Row]:
+    def sample_rows(self, table: str, limit: int, seed: int = 0) -> RowSet:
         """Deterministic pseudo-random sample used for statistics building.
 
         Rows are ranked by a two-stage multiplicative hash of the rowid

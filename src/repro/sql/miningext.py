@@ -28,7 +28,7 @@ import numpy as np
 
 from repro import obs
 from repro.core.catalog import ModelCatalog
-from repro.core.columns import ColumnBatch
+from repro.core.columns import ColumnBatch, RowSet
 from repro.core.optimizer import (
     DEFAULT_MAX_DISJUNCTS,
     MiningQuery,
@@ -45,7 +45,7 @@ from repro.core.predicates import (
 from repro.core.rewrite import MiningPredicate
 from repro.exceptions import ModelError
 from repro.sql.compiler import select_statement
-from repro.sql.database import Database, Row
+from repro.sql.database import Database
 from repro.sql.planner import (
     FULL_SCAN_PLAN,
     Plan,
@@ -69,13 +69,15 @@ class ExecutionReport:
     """Everything observed while executing one mining query.
 
     ``rows_fetched`` counts rows crossing the SQL boundary; ``rows`` is the
-    final result after residual model application.  ``sql_seconds`` and
+    final result after residual model application — a columnar
+    :class:`~repro.core.columns.RowSet` taken from the fetched table,
+    which reads as a sequence of row dicts.  ``sql_seconds`` and
     ``model_seconds`` split the cost the way the paper's discussion does
     (its timings exclude model invocation; ours reports both).
     """
 
     strategy: str
-    rows: tuple[Row, ...]
+    rows: RowSet
     rows_fetched: int
     sql_seconds: float
     model_seconds: float
@@ -182,11 +184,11 @@ class PredictionJoinExecutor:
 
     def _apply_mining_predicates(
         self,
-        fetched: Sequence[Row],
+        fetched: RowSet,
         predicates: Sequence[MiningPredicate],
         envelopes: Sequence[Predicate] | None = None,
         estimator: SelectivityEstimator | None = None,
-    ) -> tuple[tuple[Row, ...], dict[str, tuple[Value, ...]]]:
+    ) -> tuple[RowSet, dict[str, tuple[Value, ...]]]:
         """Rows of ``fetched`` satisfying every mining predicate, plus the
         per-model predictions memoized for the surviving rows.
 
@@ -201,36 +203,41 @@ class PredictionJoinExecutor:
         (model, row), so several predicates over one model score each row
         once.  The second return value surfaces those memos (model name ->
         labels aligned with the surviving rows) so callers that need
-        prediction columns never invoke the models again.
+        prediction columns never invoke the models again.  The survivors
+        are ``fetched.take(alive)`` — ``fetched`` itself when every row
+        survives — so no row object is built on either path's way out.
         """
         if not predicates:
-            return tuple(fetched), {}
+            return fetched, {}
         if not self._vectorized:
-            selected: list[Row] = []
+            selected: list[int] = []
             row_caches: list[dict[str, Value]] = []
-            for row in fetched:
+            for position, row in enumerate(fetched):
                 cache: dict[str, Value] = {}
                 if all(
                     predicate.evaluate_cached(row, self._catalog, cache)
                     for predicate in predicates
                 ):
-                    selected.append(row)
+                    selected.append(position)
                     row_caches.append(cache)
             self._count_residual(len(fetched), len(selected))
-            return tuple(selected), _collect_row_predictions(row_caches)
-        survivors: list[Row] = []
+            return (
+                _survivors(fetched, selected),
+                _collect_row_predictions(row_caches),
+            )
+        alive_parts: list[np.ndarray] = []
         predictions: dict[str, list[Value]] | None = None
         step = self._batch_size
         for start in range(0, len(fetched), step):
-            batch_rows, batch_predictions = self._filter_batch(
+            alive, batch_predictions = self._filter_batch(
                 fetched[start : start + step],
                 predicates,
                 envelopes,
                 estimator,
             )
-            if not batch_rows:
+            if alive.size == 0:
                 continue
-            survivors.extend(batch_rows)
+            alive_parts.append(alive + start)
             if predictions is None:
                 predictions = batch_predictions
             else:
@@ -244,13 +251,16 @@ class PredictionJoinExecutor:
                         del predictions[name]
                     else:
                         predictions[name].extend(chunk_values)
+        survivors = _survivors(
+            fetched, np.concatenate(alive_parts) if alive_parts else []
+        )
         self._count_residual(len(fetched), len(survivors))
         store = {
             name: tuple(values)
             for name, values in (predictions or {}).items()
             if len(values) == len(survivors)
         }
-        return tuple(survivors), store
+        return survivors, store
 
     def _count_residual(self, rows_in: int, rows_out: int) -> None:
         if obs.enabled():
@@ -259,21 +269,22 @@ class PredictionJoinExecutor:
 
     def _filter_batch(
         self,
-        chunk: Sequence[Row],
+        chunk: RowSet,
         predicates: Sequence[MiningPredicate],
         envelopes: Sequence[Predicate] | None,
         estimator: SelectivityEstimator | None,
-    ) -> tuple[list[Row], dict[str, list[Value]]]:
+    ) -> tuple[np.ndarray, dict[str, list[Value]]]:
         """Vectorized filter of one batch with short-circuit compaction.
 
         After each predicate, rows already ruled out are compacted away
         (``ColumnBatch.take``), and the per-model prediction memo is
-        sliced in lockstep so cached predictions stay row-aligned.  The
-        surviving slice of that memo is returned alongside the rows.
+        sliced in lockstep so cached predictions stay row-aligned.
+        Returns the chunk positions still alive and the surviving slice
+        of that memo.
         """
         batch = ColumnBatch(chunk)
         cache: dict[str, np.ndarray] = {}
-        alive: np.ndarray | None = None  # chunk indices still in play
+        alive = np.arange(len(chunk))
         for index, predicate in enumerate(predicates):
             envelope = (
                 envelopes[index] if envelopes is not None else None
@@ -284,17 +295,14 @@ class PredictionJoinExecutor:
                 mask = envelope.evaluate_batch(batch, estimator)
                 batch, cache, alive = _compact(batch, cache, alive, mask)
                 if len(batch) == 0:
-                    return [], {}
+                    return alive, {}
             mask = predicate.evaluate_batch(batch, self._catalog, cache)
             batch, cache, alive = _compact(batch, cache, alive, mask)
             if len(batch) == 0:
-                return [], {}
+                return alive, {}
         # ``cache`` arrays were sliced in lockstep with every compaction,
         # so they are aligned with the surviving rows.
-        predictions = {name: list(values) for name, values in cache.items()}
-        if alive is None:
-            return list(chunk), predictions
-        return [chunk[i] for i in alive], predictions
+        return alive, {name: list(values) for name, values in cache.items()}
 
     def execute_naive(self, query: MiningQuery) -> ExecutionReport:
         """Extract-and-mine: SQL evaluates only the relational predicate."""
@@ -371,7 +379,7 @@ class PredictionJoinExecutor:
                 execute_span.update(constant_false=True, rows_returned=0)
                 return ExecutionReport(
                     strategy="optimized",
-                    rows=(),
+                    rows=RowSet((), ()),
                     rows_fetched=0,
                     sql_seconds=0.0,
                     model_seconds=0.0,
@@ -547,25 +555,31 @@ def _collect_row_predictions(
     }
 
 
+def _survivors(fetched: RowSet, alive: Sequence[int]) -> RowSet:
+    """``fetched`` narrowed to the ``alive`` positions, uncopied if all are."""
+    if len(alive) == len(fetched):
+        return fetched
+    return fetched.take(alive)
+
+
 def _compact(
     batch: ColumnBatch,
     cache: dict[str, np.ndarray],
-    alive: np.ndarray | None,
+    alive: np.ndarray,
     mask: np.ndarray,
-) -> tuple[ColumnBatch, dict[str, np.ndarray], np.ndarray | None]:
+) -> tuple[ColumnBatch, dict[str, np.ndarray], np.ndarray]:
     """Narrow a batch to the rows where ``mask`` holds.
 
     Cached prediction arrays are sliced with the same index set so they
     stay aligned with the surviving rows; ``alive`` tracks positions in
-    the original chunk (``None`` means every row is still alive).
+    the original chunk.
     """
     if mask.all():
         return batch, cache, alive
     keep = np.flatnonzero(mask)
-    alive = keep if alive is None else alive[keep]
     batch = batch.take(keep)
     cache = {name: values[keep] for name, values in cache.items()}
-    return batch, cache, alive
+    return batch, cache, alive[keep]
 
 
 def baseline_full_scan(db: Database, table: str) -> ExecutionReport:
@@ -573,7 +587,7 @@ def baseline_full_scan(db: Database, table: str) -> ExecutionReport:
     count, seconds = db.timed_fetch(select_statement(table, TRUE))
     return ExecutionReport(
         strategy="full-scan",
-        rows=(),
+        rows=RowSet((), ()),
         rows_fetched=count,
         sql_seconds=seconds,
         model_seconds=0.0,

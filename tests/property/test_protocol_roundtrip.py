@@ -1,17 +1,21 @@
 """Property tests of the serving wire codec (hypothesis).
 
-Three laws the protocol layer must uphold under arbitrary input:
+Four laws the protocol layer must uphold under arbitrary input:
 
 1. **Frame streams are fragmentation-proof** — any sequence of frames,
-   concatenated back-to-back and fed to a :class:`FrameDecoder` in any
-   chunking (including one byte at a time), decodes to exactly the
-   frames that were encoded, in order.
+   with or without a binary tail, concatenated back-to-back and fed to
+   a :class:`FrameDecoder` in any chunking (including one byte at a
+   time), decodes to exactly the frames that were encoded, in order.
 2. **Requests round-trip** — ``decode_request(encode_request(r)) == r``
    for generated query and match requests over generated predicate
-   trees and row values.
+   trees, ragged row dicts and row tables.
 3. **Values survive exactly** — int/str/bool/None and every finite
    float keep both value and type across the wire; NaN round-trips to
    NaN (compared through ``math.isnan``, since ``nan != nan``).
+4. **Tables survive exactly** — a generated table of float, int, bool,
+   None, str and mixed columns (empty and zero-column ones included)
+   comes back with the same names, order, values *and exact types*
+   whichever way each column crossed, buffer or JSON.
 """
 
 from __future__ import annotations
@@ -37,18 +41,24 @@ from repro.core.rewrite import (
     PredictionJoinColumn,
     PredictionJoinPrediction,
 )
+from repro.core.columns import RowSet
 from repro.serve.engine import MatchRequest, QueryRequest
 from repro.serve.protocol import (
     KIND_ERROR,
     KIND_REQUEST,
     KIND_RESPONSE,
     FrameDecoder,
+    Payload,
     decode_request,
+    decode_response,
     decode_value,
     encode_frame,
     encode_request,
+    encode_response,
     encode_value,
 )
+
+from tests.serve.test_protocol import result_over
 
 COLUMNS = ("age", "income", "region")
 MODELS = ("risk_tree", "risk_nb")
@@ -64,15 +74,55 @@ predicate_values = st.one_of(
     st.text(min_size=0, max_size=8),
 )
 
+#: Floats a buffer must carry bit-exactly, specials included.
+column_floats = st.one_of(
+    finite_floats,
+    st.sampled_from([float("nan"), float("inf"), float("-inf"), -0.0]),
+)
+#: Ints around the float53 and int64 edges as well as ordinary ones.
+column_ints = st.one_of(
+    st.integers(-(2**53), 2**53),
+    st.sampled_from(
+        [2**53, -(2**53), 2**63 - 1, -(2**63), 2**63, -(2**63) - 1]
+    ),
+)
+
 #: Values legal inside rows — anything the codec claims to carry.
 row_values = st.one_of(
     st.none(),
     st.booleans(),
-    st.integers(-(2**53), 2**53),
-    finite_floats,
-    st.sampled_from([float("nan"), float("inf"), float("-inf")]),
+    column_ints,
+    column_floats,
     st.text(min_size=0, max_size=12),
 )
+
+#: One column's value strategy: a pure kind (which may cross as a
+#: buffer) or a mix (which must cross as JSON).
+column_kinds = st.sampled_from(
+    [
+        column_floats,
+        column_ints,
+        st.booleans(),
+        st.none(),
+        st.text(min_size=0, max_size=12),
+        row_values,
+    ]
+)
+
+
+@st.composite
+def tables(draw, max_rows: int = 6) -> tuple:
+    """A tuple of row dicts sharing one column set (possibly none)."""
+    names = draw(st.lists(st.sampled_from(COLUMNS), max_size=3, unique=True))
+    count = draw(st.integers(0, max_rows))
+    columns = [
+        draw(st.lists(draw(column_kinds), min_size=count, max_size=count))
+        for _ in names
+    ]
+    return tuple(
+        {name: column[i] for name, column in zip(names, columns)}
+        for i in range(count)
+    )
 
 
 @st.composite
@@ -166,16 +216,12 @@ def query_requests(draw) -> QueryRequest:
 
 @st.composite
 def match_requests(draw) -> MatchRequest:
-    rows = tuple(
-        draw(
-            st.lists(
-                st.dictionaries(
-                    st.sampled_from(COLUMNS), row_values, max_size=3
-                ),
-                max_size=4,
-            )
-        )
-    )
+    # Ragged row dicts as callers may hand them in, or a typed table.
+    ragged = st.lists(
+        st.dictionaries(st.sampled_from(COLUMNS), row_values, max_size=3),
+        max_size=4,
+    ).map(tuple)
+    rows = draw(st.one_of(ragged, tables(max_rows=4)))
     segments = draw(
         st.one_of(
             st.none(),
@@ -191,19 +237,28 @@ def match_requests(draw) -> MatchRequest:
     )
 
 
-def rows_equivalent(a, b) -> bool:
-    """Row equality where NaN equals NaN (in value and type)."""
+def rows_equivalent(a, b, key_order: bool = True) -> bool:
+    """Row equality in value *and exact type* (``True`` is not ``1``,
+    ``1`` is not ``1.0``, ``-0.0`` is not ``0.0``) where NaN equals NaN,
+    column order included unless ``key_order`` is off (ragged rows come
+    back keyed in the order the columns first appeared)."""
     if len(a) != len(b):
         return False
     for left, right in zip(a, b):
-        if set(left) != set(right):
+        if set(left) != set(right) or (key_order and list(left) != list(right)):
             return False
         for column in left:
             lv, rv = left[column], right[column]
-            if isinstance(lv, float) and math.isnan(lv):
-                if not (isinstance(rv, float) and math.isnan(rv)):
+            if type(lv) is not type(rv):
+                return False
+            if isinstance(lv, float):
+                if math.isnan(lv) != math.isnan(rv):
                     return False
-            elif lv != rv or type(lv) is not type(rv):
+                if not math.isnan(lv) and (
+                    lv != rv or math.copysign(1.0, lv) != math.copysign(1.0, rv)
+                ):
+                    return False
+            elif lv != rv:
                 return False
     return True
 
@@ -230,18 +285,30 @@ frame_specs = st.lists(
         st.sampled_from([KIND_REQUEST, KIND_RESPONSE, KIND_ERROR]),
         st.integers(0, 2**64 - 1),
         json_payloads,
+        st.binary(max_size=24),
     ),
     max_size=5,
 )
 
 
+def stream_of(specs) -> bytes:
+    return b"".join(
+        encode_frame(kind, request_id, Payload(meta, tail))
+        for kind, request_id, meta, tail in specs
+    )
+
+
+def seen(frames) -> list[tuple]:
+    return [
+        (f.kind, f.request_id, dict(f.payload), bytes(f.payload.tail))
+        for f in frames
+    ]
+
+
 @settings(max_examples=60, deadline=None)
 @given(specs=frame_specs, data=st.data())
 def test_concatenated_frames_survive_any_chunking(specs, data):
-    stream = b"".join(
-        encode_frame(kind, request_id, payload)
-        for kind, request_id, payload in specs
-    )
+    stream = stream_of(specs)
     cuts = sorted(
         data.draw(
             st.lists(
@@ -256,25 +323,18 @@ def test_concatenated_frames_survive_any_chunking(specs, data):
     for cut in cuts + [len(stream)]:
         frames.extend(decoder.feed(stream[previous:cut]))
         previous = cut
-    assert len(frames) == len(specs)
-    for frame, (kind, request_id, payload) in zip(frames, specs):
-        assert frame.kind == kind
-        assert frame.request_id == request_id
-        assert frame.payload == payload
+    assert seen(frames) == specs
 
 
 @settings(max_examples=20, deadline=None)
 @given(specs=frame_specs)
 def test_frames_survive_byte_by_byte_delivery(specs):
-    stream = b"".join(
-        encode_frame(kind, request_id, payload)
-        for kind, request_id, payload in specs
-    )
+    stream = stream_of(specs)
     decoder = FrameDecoder()
     frames = []
     for i in range(len(stream)):
         frames.extend(decoder.feed(stream[i : i + 1]))
-    assert [(f.kind, f.request_id, f.payload) for f in frames] == specs
+    assert seen(frames) == specs
 
 
 # ---------------------------------------------------------------------------
@@ -298,7 +358,9 @@ def test_match_requests_round_trip(request):
     decoded = decode_request(frame.payload)
     assert decoded.segments == request.segments
     assert decoded.timeout == request.timeout
-    assert rows_equivalent(decoded.rows, request.rows)
+    assert rows_equivalent(decoded.rows, request.rows, key_order=False)
+    ragged = len({frozenset(row) for row in request.rows}) > 1
+    assert isinstance(decoded.rows, tuple if ragged else RowSet)
 
 
 # ---------------------------------------------------------------------------
@@ -318,3 +380,38 @@ def test_values_survive_exactly(value):
     else:
         assert decoded == value
         assert type(decoded) is type(value)
+
+
+# ---------------------------------------------------------------------------
+# 4. Table fidelity, however the frames arrive
+# ---------------------------------------------------------------------------
+
+
+@settings(max_examples=150, deadline=None)
+@given(rows=tables())
+def test_tables_survive_exactly(rows):
+    stream = encode_frame(KIND_RESPONSE, 1, encode_response(result_over(rows)))
+    (frame,) = FrameDecoder().feed(stream)
+    decoded = decode_response(frame.payload).rows
+    assert isinstance(decoded, RowSet)
+    assert rows_equivalent(decoded, rows)
+    if rows:
+        assert decoded.names == tuple(rows[0])
+
+
+@settings(max_examples=40, deadline=None)
+@given(first=tables(), second=tables())
+def test_tables_survive_byte_by_byte_and_concatenated_delivery(first, second):
+    stream = b"".join(
+        encode_frame(KIND_RESPONSE, rid, encode_response(result_over(rows)))
+        for rid, rows in enumerate((first, second))
+    )
+    whole = FrameDecoder().feed(stream)
+    decoder = FrameDecoder()
+    trickled = []
+    for i in range(len(stream)):
+        trickled.extend(decoder.feed(stream[i : i + 1]))
+    for frames in (whole, trickled):
+        assert [f.request_id for f in frames] == [0, 1]
+        for frame, rows in zip(frames, (first, second)):
+            assert rows_equivalent(decode_response(frame.payload).rows, rows)

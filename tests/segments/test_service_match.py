@@ -6,6 +6,7 @@ import pytest
 
 from repro.core.predicates import And, Comparison, Op
 from repro.exceptions import (
+    PredicateError,
     QueueFullError,
     RequestTimeoutError,
     ServeError,
@@ -164,6 +165,59 @@ class TestCollapsing:
             ]
             results = [f.result(timeout=10) for f in futures]
         assert len({r.memberships for r in results}) == 1
+
+    def test_collapse_key_is_columnar_and_content_exact(self, db, catalog):
+        from repro.core.columns import RowSet
+        from repro.serve import MatchRequest
+
+        rows = [{"age": 50, "income": 8.5}, {"age": 20, "income": 1.5}]
+        reordered = [{"income": r["income"], "age": r["age"]} for r in rows]
+        with service_for(db, catalog, workers=1) as service:
+            key = service.engine._collapse_key
+            base = key(MatchRequest(rows))
+            assert base == key(MatchRequest(tuple(reordered)))
+            assert base == key(MatchRequest(RowSet.from_rows(rows)))
+            assert base != key(MatchRequest(rows[:1]))
+            assert base != key(MatchRequest(rows, segments=("older",)))
+            assert base != key(
+                MatchRequest([dict(rows[0], income=8.75), rows[1]])
+            )
+            # Rows without columns still differ by how many there are.
+            assert key(MatchRequest([{}, {}, {}])) != key(MatchRequest([]))
+            assert key(MatchRequest([{}, {}, {}])) == key(MatchRequest(({},) * 3))
+            # Ragged rows are keyed row by row, content-exact as well; the
+            # request then fails, typed, on the column a row lacks.
+            ragged = [{"age": 50, "income": 8.5}, {"age": 20}]
+            assert key(MatchRequest(ragged)) == key(
+                MatchRequest([{"income": 8.5, "age": 50}, {"age": 20}])
+            )
+            assert key(MatchRequest(ragged)) != key(MatchRequest(ragged[::-1]))
+            assert key(MatchRequest(ragged)) != base
+            with pytest.raises(PredicateError, match="income"):
+                service.match_segments(ragged)
+
+    def test_ragged_rows_behave_the_same_over_the_wire(self, db, catalog):
+        """Loopback and a byte transport serve the same ragged request the
+        same way: matched when the segments only read shared columns,
+        the same typed error when a row lacks one they read."""
+        from repro.serve import MatchRequest
+        from repro.serve.transport import LoopbackTransport, serve_socketpair
+
+        ragged = [{"age": 50, "income": 8.5}, {"age": 20}]
+        with service_for(db, catalog, workers=1) as service:
+            loopback = LoopbackTransport(service.engine)
+            client, server = serve_socketpair(service.engine)
+            try:
+                for transport in (loopback, client):
+                    result = transport.request(
+                        MatchRequest(ragged, segments=("older",))
+                    )
+                    assert result.memberships == (("older",), ())
+                    with pytest.raises(PredicateError, match="income"):
+                        transport.request(MatchRequest(ragged))
+            finally:
+                client.close()
+                server.close()
 
 
 class TestMatchBatcher:

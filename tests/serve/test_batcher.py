@@ -8,7 +8,7 @@ import time
 import numpy as np
 import pytest
 
-from repro.core.columns import ColumnBatch
+from repro.core.columns import ColumnBatch, RowSet
 from repro.exceptions import ServiceStoppedError
 from repro.serve import BatchingCatalog, MicroBatcher
 from repro.serve.batcher import _BatchingModel
@@ -94,6 +94,55 @@ class TestMicroBatcher:
         assert batcher.calls < 4  # at least two requests shared a call
         assert batcher.coalesced >= 2
         assert max(model.batch_sizes) >= 6  # a genuinely merged batch
+
+    def test_single_request_scores_the_callers_own_batch(self):
+        # Columns the caller already converted must reach the model
+        # as they are, not be rebuilt from rows.
+        seen: list[ColumnBatch] = []
+
+        class Spy(EchoModel):
+            def predict_batch(self, batch):
+                seen.append(batch)
+                return super().predict_batch(batch)
+
+        batch = batch_of([1, 2, 3])
+        numeric = batch.numeric("x")
+        with MicroBatcher(StubCatalog(Spy())) as batcher:
+            batcher.score("echo", batch)
+        assert seen == [batch]
+        assert seen[0].numeric("x") is numeric
+
+    def test_coalesced_tables_concatenate_column_wise(self):
+        seen: list[ColumnBatch] = []
+
+        class Spy(EchoModel):
+            def predict_batch(self, batch):
+                seen.append(batch)
+                return super().predict_batch(batch)
+
+        model = Spy(delay=0.1)
+        with MicroBatcher(StubCatalog(model)) as batcher:
+            results: dict[int, np.ndarray] = {}
+
+            def request(index: int) -> None:
+                table = RowSet(("x",), [(index, index + 10)])
+                # A take() child: its rows are only gathered if asked for.
+                child = ColumnBatch(table).take(np.array([1, 0]))
+                results[index] = batcher.score("echo", child)
+
+            threads = [
+                threading.Thread(target=request, args=(i,)) for i in range(4)
+            ]
+            threads[0].start()
+            time.sleep(0.03)  # let request 0 reach the scorer
+            for thread in threads[1:]:
+                thread.start()
+            for thread in threads:
+                thread.join()
+        for index in range(4):
+            assert list(results[index]) == [(index + 10) * 2, index * 2]
+        merged = [b for b in seen if len(b) > 2]
+        assert merged and all(isinstance(b.rows(), RowSet) for b in merged)
 
     def test_model_error_reaches_every_waiter(self):
         with MicroBatcher(StubCatalog(FailingModel())) as batcher:

@@ -258,13 +258,36 @@ def test_all_transports_agree(
 
 
 def test_frame_stream_is_canonical_json(engine, label_queries):
-    """Responses are canonical JSON: sorted keys, no NaN literals."""
-    from repro.serve.protocol import encode_response
+    """A v2 response frame: header, meta length, canonical-JSON meta
+    (sorted keys, no NaN literals), then the column buffers — and the
+    same result always makes the same bytes."""
+    import struct
+
+    from repro.serve.protocol import (
+        HEADER_BYTES,
+        KIND_RESPONSE,
+        encode_frame,
+        encode_response,
+    )
 
     loopback = LoopbackTransport(engine)
     result = loopback.request(QueryRequest(query=label_queries[0]))
-    payload = encode_response(result)
+    frame = encode_frame(KIND_RESPONSE, 1, encode_response(result))
+    assert frame == encode_frame(KIND_RESPONSE, 1, encode_response(result))
+    (meta_length,) = struct.unpack_from("!I", frame, HEADER_BYTES)
+    meta_end = HEADER_BYTES + 4 + meta_length
+    meta_bytes = frame[HEADER_BYTES + 4 : meta_end]
+    meta = json.loads(meta_bytes)
     canonical = json.dumps(
-        payload, sort_keys=True, separators=(",", ":"), allow_nan=False
+        meta, sort_keys=True, separators=(",", ":"), allow_nan=False
     )
-    assert json.loads(canonical) == payload
+    assert canonical.encode("utf-8") == meta_bytes
+    # The tail is exactly the buffers the column descriptors announce.
+    table = meta["rows"]
+    assert table["n"] == len(result.rows) > 0
+    assert table["names"] == list(result.rows.names)
+    announced = sum(
+        body for tag, body in table["cols"] if tag in ("f", "i")
+    )
+    assert announced > 0
+    assert len(frame) - meta_end == announced
