@@ -141,14 +141,6 @@ def main(argv: list[str] | None = None) -> int:
         "(default: auto-calibrated from the serial probe)",
     )
     parser.add_argument(
-        "--batch-window",
-        type=float,
-        default=0.0,
-        metavar="SECONDS",
-        help="serve: micro-batch accumulation window (default: 0 = "
-        "dispatch immediately)",
-    )
-    parser.add_argument(
         "--result-ttl",
         type=float,
         default=None,
@@ -500,13 +492,6 @@ def main(argv: list[str] | None = None) -> int:
                 "gates informational (bursty arrivals, not enforced): "
                 + ", ".join(missed)
             )
-        for entry in report["batch_window_frontier"]:
-            print(
-                f"batch window {entry['window_ms']:.1f}ms: goodput "
-                f"{entry['goodput_rps']:.1f} req/s, p50 "
-                f"{entry['p50_ms']:.1f}ms, p99 {entry['p99_ms']:.1f}ms, "
-                f"coalesced {entry['batch_coalesced']}"
-            )
         with open("BENCH_load.json", "w", encoding="utf-8") as stream:
             json.dump(report, stream, indent=2, sort_keys=True)
             stream.write("\n")
@@ -657,7 +642,6 @@ def _serve_tcp(
         registry,
         workers=arguments.workers,
         selectivity_gate=config.selectivity_gate,
-        batch_window=arguments.batch_window,
         result_ttl=arguments.result_ttl,
     )
     server = TCPServer(engine, host=arguments.host, port=arguments.port)

@@ -25,9 +25,6 @@ runs three times it, and the per-request deadline is
 ``max(8 s̄, 0.25 · max_pending · s̄ / workers)`` — far above a normal
 round trip, far below the full-queue wait, so a static controller
 *must* strand requests in queue past their deadlines under overload.
-A third, report-only section sweeps the micro-batch accumulation
-window (0 / 0.5 ms / 2 ms) over the same schedule to place the window
-on the throughput/latency frontier.
 """
 
 from __future__ import annotations
@@ -55,7 +52,6 @@ from repro.serve.transport import (
     connect_tcp,
     serve_socketpair,
 )
-from repro.sql.plancache import PlanCache
 from repro.workload.measurement import (
     FAMILY_DECISION_TREE,
     FAMILY_NAIVE_BAYES,
@@ -63,9 +59,6 @@ from repro.workload.measurement import (
 from repro.workload.runner import load_dataset
 
 __all__ = ["run_load_bench"]
-
-#: Micro-batch accumulation windows swept by the frontier section (s).
-BATCH_WINDOWS = (0.0, 0.0005, 0.002)
 
 #: Offered-load multipliers relative to measured capacity.
 DETERMINISM_FRACTION = 0.5
@@ -82,22 +75,15 @@ def _build_engine(
     config: ExperimentConfig,
     workers: int,
     max_pending: int,
-    admission: str = "static",
-    collapsing: bool = True,
-    batch_window: float = 0.0,
-    result_ttl: float | None = None,
+    **engine_options,
 ) -> ServeEngine:
     return ServeEngine(
         db,
         registry,
         workers=workers,
         max_pending=max_pending,
-        plan_cache=PlanCache(256),
         selectivity_gate=config.selectivity_gate,
-        admission=admission,
-        collapsing=collapsing,
-        batch_window=batch_window,
-        result_ttl=result_ttl,
+        **engine_options,
     )
 
 
@@ -117,7 +103,6 @@ def _load_router_bootstrap(
         registry,
         workers=2,
         max_pending=max_pending,
-        plan_cache=PlanCache(256),
         selectivity_gate=config.selectivity_gate,
     )
 
@@ -177,7 +162,6 @@ def run_load_bench(
     transport: str = "inproc",
     dataset_name: str | None = None,
     result_ttl: float | None = None,
-    batch_windows: "tuple[float, ...]" = BATCH_WINDOWS,
 ) -> dict:
     """The full open-loop bench; returns the ``BENCH_load.json`` payload.
 
@@ -285,20 +269,6 @@ def run_load_bench(
             deadline,
             workers,
             max_pending,
-        )
-        payload["batch_window_frontier"] = _frontier_section(
-            db,
-            registry,
-            config,
-            queries,
-            indices,
-            arrivals,
-            capacity,
-            requests,
-            deadline,
-            workers,
-            max_pending,
-            batch_windows,
         )
         db.close()
         return payload
@@ -545,66 +515,3 @@ def _overload_section(
         "gates": gates,
         "gates_enforced": enforce_gates,
     }
-
-
-def _frontier_section(
-    db,
-    registry,
-    config,
-    queries,
-    indices,
-    arrivals,
-    capacity,
-    requests,
-    deadline,
-    workers,
-    max_pending,
-    batch_windows,
-) -> list[dict]:
-    """Micro-batch window sweep at capacity — report-only."""
-    schedule = build_arrivals(arrivals, capacity, requests, config.seed)
-    frontier = []
-    for window in batch_windows:
-        engine = _build_engine(
-            db,
-            registry,
-            config,
-            workers,
-            max_pending,
-            batch_window=window,
-        )
-        try:
-            for query in queries:
-                engine.execute(QueryRequest(query))
-            _, report = _run_open_loop(
-                LoopbackTransport(engine),
-                queries,
-                indices,
-                schedule,
-                deadline,
-            )
-            batcher = engine.batcher
-            frontier.append(
-                {
-                    "window_ms": round(window * 1000.0, 3),
-                    "goodput_rps": round(report.goodput, 2),
-                    "p50_ms": round(
-                        report.latency["p50"] * 1000.0, 3
-                    ),
-                    "p99_ms": round(
-                        report.latency["p99"] * 1000.0, 3
-                    ),
-                    "ok": report.ok,
-                    "late": report.late,
-                    "batch_calls": batcher.calls if batcher else 0,
-                    "batch_requests": (
-                        batcher.requests if batcher else 0
-                    ),
-                    "batch_coalesced": (
-                        batcher.coalesced if batcher else 0
-                    ),
-                }
-            )
-        finally:
-            engine.shutdown()
-    return frontier

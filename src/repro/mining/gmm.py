@@ -87,10 +87,14 @@ class GaussianMixtureModel(MiningModel):
     def component_log_scores(self, point: np.ndarray) -> np.ndarray:
         """``log tau_k + sum_d log N(x_d; mu_dk, var_dk)`` per component."""
         deltas = point[None, :] - self.means
-        log_density = -0.5 * (
-            np.log(2.0 * np.pi * self.variances)
-            + deltas * deltas / self.variances
-        ).sum(axis=1)
+        # A squared delta past float64 range makes the log density -inf:
+        # the component is less likely than any finite one, which is how
+        # argmax orders it.
+        with np.errstate(over="ignore"):
+            log_density = -0.5 * (
+                np.log(2.0 * np.pi * self.variances)
+                + deltas * deltas / self.variances
+            ).sum(axis=1)
         return np.log(self.mixing) + log_density
 
     def component_log_scores_batch(self, points: np.ndarray) -> np.ndarray:
@@ -101,10 +105,11 @@ class GaussianMixtureModel(MiningModel):
         row matches the scalar score vector bit for bit.
         """
         deltas = points[:, None, :] - self.means[None, :, :]
-        log_density = -0.5 * (
-            np.log(2.0 * np.pi * self.variances)[None, :, :]
-            + deltas * deltas / self.variances[None, :, :]
-        ).sum(axis=2)
+        with np.errstate(over="ignore"):  # -inf, as in component_log_scores()
+            log_density = -0.5 * (
+                np.log(2.0 * np.pi * self.variances)[None, :, :]
+                + deltas * deltas / self.variances[None, :, :]
+            ).sum(axis=2)
         return np.log(self.mixing)[None, :] + log_density
 
     def assign(self, point: np.ndarray) -> int:

@@ -80,7 +80,10 @@ class KMeansModel(MiningModel):
     def distances(self, point: np.ndarray) -> np.ndarray:
         """Weighted squared distances from ``point`` to every centroid."""
         deltas = point[None, :] - self.centroids
-        return (self.weights * deltas * deltas).sum(axis=1)
+        # A squared delta past float64 range is +inf: the centroid is
+        # farther than any finite one, which is how argmin orders it.
+        with np.errstate(over="ignore"):
+            return (self.weights * deltas * deltas).sum(axis=1)
 
     def assign(self, point: np.ndarray) -> int:
         """Index of the closest centroid (lowest index wins ties)."""
@@ -94,7 +97,8 @@ class KMeansModel(MiningModel):
         the scalar distance vector for that point.
         """
         deltas = points[:, None, :] - self.centroids[None, :, :]
-        return (self.weights[None, :, :] * deltas * deltas).sum(axis=2)
+        with np.errstate(over="ignore"):  # +inf, as in distances()
+            return (self.weights[None, :, :] * deltas * deltas).sum(axis=2)
 
     def assign_batch(self, points: np.ndarray) -> np.ndarray:
         """Closest-centroid index per point (lowest index wins ties)."""

@@ -182,7 +182,6 @@ def _router_bootstrap(
         registry,
         workers=2,
         max_pending=max_pending,
-        plan_cache=PlanCache(256),
         selectivity_gate=config.selectivity_gate,
     )
 
@@ -201,28 +200,6 @@ def _run_serial(
         results.append(executor.execute(queries[index]).rows)
         latencies.append(time.perf_counter() - request_started)
     return results, time.perf_counter() - started, latencies
-
-
-def _run_service(
-    service: QueryService,
-    queries: list[MiningQuery],
-    schedule: list[int],
-    window: int,
-) -> tuple[list[ServeResult], float]:
-    """Replay the schedule closed-loop, at most ``window`` in flight."""
-    ordered: list[Future] = []
-    inflight: "deque[Future]" = deque()
-    started = time.perf_counter()
-    for index in schedule:
-        if len(inflight) >= window:
-            done, _ = wait(inflight, return_when=FIRST_COMPLETED)
-            for future in done:
-                inflight.remove(future)
-        future = service.submit(queries[index])
-        ordered.append(future)
-        inflight.append(future)
-    results = [future.result() for future in ordered]
-    return results, time.perf_counter() - started
 
 
 def _run_transport(
@@ -325,15 +302,17 @@ def run_serving_bench(
                 registry,
                 workers=worker_count,
                 max_pending=max_pending,
-                plan_cache=PlanCache(256),
                 selectivity_gate=config.selectivity_gate,
                 result_ttl=result_ttl,
             )
             try:
                 for query in queries:  # warm-up this service's caches
                     service.execute(query)
-                results, seconds = _run_service(
-                    service, queries, schedule, window=max_pending
+                results, seconds = _run_transport(
+                    LoopbackTransport(service.engine),
+                    queries,
+                    schedule,
+                    window=max_pending,
                 )
                 stats = service.stats.snapshot()
                 batcher = service.batcher
@@ -375,9 +354,9 @@ def run_serving_bench(
                     "completed": stats["completed"],
                     "shed": stats["shed"],
                     "timeouts": stats["timeouts"],
-                    "batch_calls": batcher.calls if batcher else 0,
-                    "batch_requests": batcher.requests if batcher else 0,
-                    "batch_coalesced": batcher.coalesced if batcher else 0,
+                    "batch_calls": batcher.calls,
+                    "batch_requests": batcher.requests,
+                    "batch_coalesced": batcher.coalesced,
                     "identical_to_serial": True,
                 }
             )
@@ -401,7 +380,6 @@ def run_serving_bench(
                 registry,
                 workers=2,
                 max_pending=max_pending,
-                plan_cache=PlanCache(256),
                 selectivity_gate=config.selectivity_gate,
                 result_ttl=result_ttl,
             )

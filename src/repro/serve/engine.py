@@ -344,18 +344,12 @@ class ServeEngine:
         max_pending: int = 128,
         default_timeout: float | None = None,
         plan_cache: PlanCache | None = None,
-        batching: bool = True,
         collapsing: bool = True,
         selectivity_gate: float | None = 0.2,
-        stats_sample: int = 10_000,
-        vectorized: bool = True,
-        batch_size: int = 2048,
         segment_catalog: "SegmentCatalog | None" = None,
         calibration: "CalibrationStore | None" = None,
         admission: str = "static",
-        batch_window: float = 0.0,
         result_ttl: float | None = None,
-        result_cache_size: int = 1024,
     ) -> None:
         if workers < 1:
             raise ValueError(f"workers must be >= 1, got {workers}")
@@ -389,9 +383,7 @@ class ServeEngine:
                     max_pending, default_timeout=default_timeout
                 )
             self._result_cache = (
-                None
-                if result_ttl is None
-                else ResultCache(result_ttl, result_cache_size)
+                None if result_ttl is None else ResultCache(result_ttl)
             )
             self._plan_cache = (
                 plan_cache if plan_cache is not None else PlanCache(256)
@@ -406,19 +398,13 @@ class ServeEngine:
                 else CalibrationStore()
             )
             if segment_catalog is not None:
-                self._match_batcher = MatchBatcher(
-                    segment_catalog, window=batch_window
-                )
-            catalog = registry.catalog
-            if batching:
-                self._batcher = MicroBatcher(catalog, window=batch_window)
-                catalog = BatchingCatalog(registry.catalog, self._batcher)
-            self._exec_catalog = catalog
+                self._match_batcher = MatchBatcher(segment_catalog)
+            self._batcher = MicroBatcher(registry.catalog)
+            self._exec_catalog = BatchingCatalog(
+                registry.catalog, self._batcher
+            )
             self._collapsing = collapsing
             self._selectivity_gate = selectivity_gate
-            self._stats_sample = stats_sample
-            self._vectorized = vectorized
-            self._batch_size = batch_size
             self.stats = ServiceStats()
             self._queue: "queue.Queue" = queue.Queue()
             self._lock = threading.Lock()
@@ -437,20 +423,20 @@ class ServeEngine:
             for worker in self._workers:
                 worker.start()
         except BaseException:
-            self._teardown_partial()
+            self._release()
             raise
 
-    def _teardown_partial(self) -> None:
-        """Release whatever a failed constructor already acquired."""
+    def _release(self) -> None:
+        """Stop every thread and close the pool: all of them at
+        shutdown, whichever a failed constructor had got to."""
         for _ in self._workers:
             self._queue.put(_SENTINEL)
         for worker in self._workers:
-            if worker.is_alive():
+            if worker.is_alive():  # a failed constructor started not all
                 worker.join()
-        if self._batcher is not None:
-            self._batcher.stop()
-        if self._match_batcher is not None:
-            self._match_batcher.stop()
+        for batcher in (self._batcher, self._match_batcher):
+            if batcher is not None:
+                batcher.stop()
         if self._pool is not None:
             self._pool.close_all()
 
@@ -465,8 +451,9 @@ class ServeEngine:
         return self._plan_cache
 
     @property
-    def batcher(self) -> MicroBatcher | None:
-        """The shared micro-batcher (``None`` when batching is off)."""
+    def batcher(self) -> MicroBatcher:
+        """The micro-batcher every worker's executor scores through."""
+        assert self._batcher is not None
         return self._batcher
 
     @property
@@ -563,8 +550,7 @@ class ServeEngine:
                 timeout=None if deadline is None else deadline.remaining()
             )
         except FutureTimeoutError:
-            self.stats.increment("timeouts")
-            obs.add_counter("serve.request.timeout")
+            self._count_timeout(future)
             raise RequestTimeoutError(
                 f"request exceeded its {deadline.timeout:.3f}s deadline"
             ) from None
@@ -640,16 +626,7 @@ class ServeEngine:
         self._draining = True
         if not clean:
             self._fail_queued()
-        for _ in self._workers:
-            self._queue.put(_SENTINEL)
-        for worker in self._workers:
-            worker.join()
-        if self._batcher is not None:
-            self._batcher.stop()
-        if self._match_batcher is not None:
-            self._match_batcher.stop()
-        assert self._pool is not None
-        self._pool.close_all()
+        self._release()
         obs.event("serve.shutdown", clean=clean)
         return clean
 
@@ -709,6 +686,21 @@ class ServeEngine:
             versions,
         )
 
+    def _count_timeout(self, future: "Future") -> None:
+        """Count one timed-out request once.
+
+        A caller whose :meth:`execute` wait lapsed and the worker that
+        later dequeues the same, now expired, request both see the
+        timeout; the mark on the request's future lets only the first
+        of them count it.
+        """
+        with self._lock:
+            if getattr(future, "timeout_counted", False):
+                return
+            future.timeout_counted = True
+        self.stats.increment("timeouts")
+        obs.add_counter("serve.request.timeout")
+
     def _attach(self, primary: "Future") -> "Future":
         """A dependent future resolving with the in-flight execution."""
         self.stats.increment("collapsed")
@@ -741,10 +733,7 @@ class ServeEngine:
             db,
             self._exec_catalog,
             selectivity_gate=self._selectivity_gate,
-            stats_sample=self._stats_sample,
             plan_cache=self._plan_cache,
-            vectorized=self._vectorized,
-            batch_size=self._batch_size,
             stats_cache=self._stats_cache,
             calibration=self._calibration,
         )
@@ -764,8 +753,7 @@ class ServeEngine:
                 obs.add_counter("serve.request.cancelled")
                 return
             if queued.deadline is not None and queued.deadline.expired:
-                self.stats.increment("timeouts")
-                obs.add_counter("serve.request.timeout")
+                self._count_timeout(queued.future)
                 self._controller.record_outcome(
                     _request_kind(queued.request), None, ok=False
                 )

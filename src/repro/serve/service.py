@@ -1,26 +1,23 @@
 """The embedded query service: a facade over the serving engine.
 
-:class:`QueryService` is the in-process serving front-end — the API
-every embedded caller (and the whole pre-split test suite) programs
-against.  Since the engine/protocol/transport decomposition it is a
+:class:`QueryService` is the in-process serving front-end, and a
 **thin facade**: the behavior lives in
 :class:`~repro.serve.engine.ServeEngine` (admission, in-flight
 collapsing, micro-batching, segment matching, worker-pool execution
 over shared caches), reached through a
 :class:`~repro.serve.transport.LoopbackTransport` — the zero-copy
 in-process adapter of the same transport API the socketpair and TCP
-adapters implement.  The facade adds nothing but the original
+adapters implement, which passes the engine's result objects through
+untouched, execution reports included.  The facade adds only the
 convenience signatures (``submit(query, timeout=, optimize=)`` instead
-of typed request dataclasses), so:
-
-* every existing caller keeps working unchanged, with unchanged
-  semantics — loopback passes the engine's result objects through
-  untouched, execution reports included;
-* anything the facade can do, a remote client can do over a wire
-  transport with the same typed errors
-  (:class:`~repro.exceptions.QueueFullError`,
-  :class:`~repro.exceptions.RequestTimeoutError`, ...), because both
-  drive the same engine through the same adapter seam.
+of typed request dataclasses): its constructor hands its keyword
+options to the engine as they are, and any attribute it does not define
+(``stats``, ``batcher``, ``plan_cache``, ``queue_depth``, ...) is the
+engine's own.  Anything it can do, a remote client can do over a wire
+transport with the same typed errors
+(:class:`~repro.exceptions.QueueFullError`,
+:class:`~repro.exceptions.RequestTimeoutError`, ...), because both
+drive the same engine through the same adapter seam.
 
 The collapsing and bit-identity contracts documented here hold for
 every transport: a request structurally identical to one *currently
@@ -37,15 +34,11 @@ and across every transport and router process count.
 
 from __future__ import annotations
 
-from concurrent.futures import Future
-
 from collections.abc import Sequence
+from concurrent.futures import Future
 
 from repro.core.optimizer import MiningQuery
 from repro.mining.base import Row
-from repro.segments.batcher import MatchBatcher
-from repro.segments.catalog import SegmentCatalog
-from repro.serve.batcher import MicroBatcher
 from repro.serve.engine import (
     MatchRequest,
     QueryRequest,
@@ -56,16 +49,13 @@ from repro.serve.engine import (
 )
 from repro.serve.registry import ModelRegistry
 from repro.serve.transport import LoopbackTransport
-from repro.sql.calibration import CalibrationStore
 from repro.sql.database import Database
-from repro.sql.plancache import PlanCache
 
 __all__ = [
     "QueryService",
     "SegmentMatchResult",
     "ServeResult",
     "ServiceStats",
-    "serve",
 ]
 
 
@@ -76,95 +66,23 @@ class QueryService:
     shutdown raises :class:`~repro.exceptions.ServiceStoppedError`.  The
     service serves **read-only** traffic over ``db``: load tables and
     build indexes through the primary handle before constructing it.
+    ``engine_options`` are :class:`~repro.serve.engine.ServeEngine`'s
+    keyword options, documented there.
     """
 
     def __init__(
-        self,
-        db: Database,
-        registry: ModelRegistry,
-        workers: int = 4,
-        max_pending: int = 128,
-        default_timeout: float | None = None,
-        plan_cache: PlanCache | None = None,
-        batching: bool = True,
-        collapsing: bool = True,
-        selectivity_gate: float | None = 0.2,
-        stats_sample: int = 10_000,
-        vectorized: bool = True,
-        batch_size: int = 2048,
-        segment_catalog: "SegmentCatalog | None" = None,
-        calibration: "CalibrationStore | None" = None,
-        admission: str = "static",
-        batch_window: float = 0.0,
-        result_ttl: float | None = None,
-        result_cache_size: int = 1024,
+        self, db: Database, registry: ModelRegistry, **engine_options
     ) -> None:
-        self._engine = ServeEngine(
-            db,
-            registry,
-            workers=workers,
-            max_pending=max_pending,
-            default_timeout=default_timeout,
-            plan_cache=plan_cache,
-            batching=batching,
-            collapsing=collapsing,
-            selectivity_gate=selectivity_gate,
-            stats_sample=stats_sample,
-            vectorized=vectorized,
-            batch_size=batch_size,
-            segment_catalog=segment_catalog,
-            calibration=calibration,
-            admission=admission,
-            batch_window=batch_window,
-            result_ttl=result_ttl,
-            result_cache_size=result_cache_size,
-        )
-        self._transport = LoopbackTransport(self._engine)
+        self.engine = ServeEngine(db, registry, **engine_options)
+        self._transport = LoopbackTransport(self.engine)
 
-    # -- public API --------------------------------------------------------
-
-    @property
-    def engine(self) -> ServeEngine:
-        """The transport-neutral core this facade drives."""
-        return self._engine
-
-    @property
-    def registry(self) -> ModelRegistry:
-        return self._engine.registry
-
-    @property
-    def plan_cache(self) -> PlanCache:
-        return self._engine.plan_cache
-
-    @property
-    def batcher(self) -> MicroBatcher | None:
-        """The shared micro-batcher (``None`` when batching is off)."""
-        return self._engine.batcher
-
-    @property
-    def calibration(self) -> CalibrationStore:
-        """The calibration store shared by every worker's executor."""
-        return self._engine.calibration
-
-    @property
-    def segments(self) -> "SegmentCatalog | None":
-        """The live segment catalog (``None`` without one)."""
-        return self._engine.segments
-
-    @property
-    def match_batcher(self) -> "MatchBatcher | None":
-        """The segment match batcher (``None`` without a catalog)."""
-        return self._engine.match_batcher
-
-    @property
-    def queue_depth(self) -> int:
-        """Admitted, unfinished requests (queued plus executing)."""
-        return self._engine.queue_depth
-
-    @property
-    def stats(self) -> ServiceStats:
-        """Thread-safe lifetime counters of this service instance."""
-        return self._engine.stats
+    def __getattr__(self, attribute: str):
+        # Reached only for names not defined here: the rest of the
+        # engine's surface.  ``engine`` itself is missing only on an
+        # instance whose constructor never ran (copy, pickle probes).
+        if attribute == "engine":
+            raise AttributeError(attribute)
+        return getattr(self.engine, attribute)
 
     def submit(
         self,
@@ -219,11 +137,7 @@ class QueryService:
         concurrent requests still coalesce inside the match batcher.
         """
         return self._transport.submit(
-            MatchRequest(
-                rows=rows,
-                segments=None if segments is None else tuple(segments),
-                timeout=timeout,
-            )
+            MatchRequest(rows=rows, segments=segments, timeout=timeout)
         )
 
     def match_segments(
@@ -234,11 +148,7 @@ class QueryService:
     ) -> SegmentMatchResult:
         """Synchronous :meth:`submit_match`; enforces the deadline."""
         return self._transport.request(
-            MatchRequest(
-                rows=rows,
-                segments=None if segments is None else tuple(segments),
-                timeout=timeout,
-            )
+            MatchRequest(rows=rows, segments=segments, timeout=timeout)
         )
 
     def drain(self, timeout: float | None = None) -> bool:
@@ -248,7 +158,7 @@ class QueryService:
         timeout (requests may still be executing).  Draining is
         irreversible — pair it with :meth:`shutdown`.
         """
-        return self._engine.drain(timeout=timeout)
+        return self.engine.drain(timeout=timeout)
 
     def shutdown(
         self, drain: bool = True, timeout: float | None = None
@@ -259,17 +169,10 @@ class QueryService:
         fail with :class:`~repro.exceptions.ServiceStoppedError`.
         Idempotent; returns whether shutdown was clean (fully drained).
         """
-        return self._engine.shutdown(drain=drain, timeout=timeout)
+        return self.engine.shutdown(drain=drain, timeout=timeout)
 
     def __enter__(self) -> "QueryService":
         return self
 
     def __exit__(self, *exc_info: object) -> None:
         self.shutdown()
-
-
-def serve(
-    db: Database, registry: ModelRegistry, **kwargs
-) -> QueryService:
-    """Convenience constructor mirroring ``QueryService(db, registry)``."""
-    return QueryService(db, registry, **kwargs)

@@ -273,3 +273,32 @@ class TestMatchBatcher:
         assert "older" in before.memberships[0]
         assert "older" not in after.memberships[0]
         assert after.catalog_version > before.catalog_version
+
+    def test_snapshot_cache_is_bounded(self):
+        # The name subset is client-supplied: cycling through many must
+        # not retain one evaluator snapshot per subset.
+        from itertools import combinations
+
+        from repro.segments.batcher import _MAX_SNAPSHOTS
+
+        catalog = SegmentCatalog()
+        for bound in range(10):
+            catalog.register(f"age>={bound}", Comparison("age", Op.GE, bound))
+        predicates = {d.name: d.predicate for d in catalog.definitions()}
+        rows = [{"age": age} for age in range(12)]
+        subsets = [
+            names
+            for size in (1, 2, 3)
+            for names in combinations(catalog.names(), size)
+        ]
+        assert len(subsets) > 10 * _MAX_SNAPSHOTS
+        with MatchBatcher(catalog) as batcher:
+            for names in subsets:
+                matches, _ = batcher.match(rows, names)
+                assert matches.memberships == tuple(
+                    tuple(n for n in names if predicates[n].evaluate(row))
+                    for row in rows
+                )
+                assert len(batcher._evaluators) <= _MAX_SNAPSHOTS
+            # The bound evicts the least recently used, not the latest.
+            assert next(reversed(batcher._evaluators))[1] == subsets[-1]

@@ -199,72 +199,3 @@ class TestConcatenateSliceContract:
         part_b = customer_nb.predict_batch(ColumnBatch(rows_b))
         assert np.array_equal(merged[: len(rows_a)], part_a)
         assert np.array_equal(merged[len(rows_a) :], part_b)
-
-
-class TestAccumulationWindow:
-    def test_window_coalesces_staggered_arrivals(self):
-        # Without a window the first request drains alone (the scorer
-        # never sleeps waiting for company).  With one, a request that
-        # arrives a couple of milliseconds later shares the call.
-        model = EchoModel()
-        with MicroBatcher(StubCatalog(model), window=0.05) as batcher:
-            results: dict[int, np.ndarray] = {}
-
-            def request(index: int) -> None:
-                values = [index * 10, index * 10 + 1]
-                results[index] = batcher.score("echo", batch_of(values))
-
-            threads = [
-                threading.Thread(target=request, args=(i,))
-                for i in range(3)
-            ]
-            for thread in threads:
-                thread.start()
-                time.sleep(0.005)  # well inside the window
-            for thread in threads:
-                thread.join()
-        assert batcher.calls == 1
-        assert batcher.requests == 3
-        assert batcher.coalesced == 3
-        assert model.batch_sizes == [6]
-        for index in range(3):
-            expected = [v * 2 for v in (index * 10, index * 10 + 1)]
-            assert np.array_equal(results[index], expected), index
-
-    def test_window_bounds_the_added_latency(self):
-        model = EchoModel()
-        with MicroBatcher(StubCatalog(model), window=0.02) as batcher:
-            started = time.monotonic()
-            batcher.score("echo", batch_of([1]))
-            elapsed = time.monotonic() - started
-        # One window of accumulation plus scheduling slack, not more.
-        assert elapsed < 0.5
-        assert elapsed >= 0.02
-
-    def test_negative_window_is_rejected(self):
-        with pytest.raises(ValueError, match="window"):
-            MicroBatcher(StubCatalog(EchoModel()), window=-0.001)
-
-    def test_stop_interrupts_an_open_window(self):
-        # A stop() issued mid-window must not wait the window out with
-        # requests pending: the waiter fails typed, promptly.
-        model = EchoModel()
-        batcher = MicroBatcher(StubCatalog(model), window=5.0)
-        errors: list[BaseException] = []
-
-        def request() -> None:
-            try:
-                batcher.score("echo", batch_of([1]))
-            except BaseException as error:
-                errors.append(error)
-
-        thread = threading.Thread(target=request)
-        thread.start()
-        time.sleep(0.05)  # let the request open the window
-        started = time.monotonic()
-        batcher.stop()
-        thread.join(timeout=10)
-        assert time.monotonic() - started < 2.0
-        assert len(errors) == 1
-        assert isinstance(errors[0], ServiceStoppedError)
-        assert model.calls == 0

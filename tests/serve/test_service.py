@@ -196,6 +196,10 @@ class TestAdmissionAndTimeouts:
             with pytest.raises(RequestTimeoutError):
                 svc.execute(label_queries[1], timeout=0.05)
             release.set()
+            # The waiter saw the timeout and so does the worker that
+            # later dequeues the expired request: still one timeout.
+            assert svc.drain(timeout=10)
+            assert svc.stats.timeouts == 1
         finally:
             svc.shutdown()
 
