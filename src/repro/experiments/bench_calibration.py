@@ -31,15 +31,17 @@ Calibration section surfaces.
 
 from __future__ import annotations
 
-import hashlib
+import argparse
 
 from repro import obs
 from repro.core.catalog import ModelCatalog
 from repro.core.optimizer import MiningQuery
 from repro.core.rewrite import PredictionEquals
 from repro.exceptions import ReproError
+from repro.experiments.benches import count_flag, rows_digest
 from repro.experiments.config import ExperimentConfig, SMOKE_CONFIG
 from repro.experiments.harness import dataset_for, train_family
+from repro.obs.report import _quantile
 from repro.sql.calibration import CalibrationStore
 from repro.sql.miningext import PredictionJoinExecutor
 from repro.sql.plancache import PlanCache
@@ -51,19 +53,6 @@ from repro.workload.runner import load_dataset
 RECALIBRATION_THRESHOLD = 0.01
 
 
-def _quantile(ordered: list[float], q: float) -> float:
-    """Linear-interpolation quantile of an already-sorted list."""
-    if not ordered:
-        return 0.0
-    if len(ordered) == 1:
-        return ordered[0]
-    position = q * (len(ordered) - 1)
-    low = int(position)
-    high = min(low + 1, len(ordered) - 1)
-    weight = position - low
-    return ordered[low] * (1.0 - weight) + ordered[high] * weight
-
-
 def _error_quantiles(errors: list[float]) -> dict[str, float]:
     ordered = sorted(errors)
     return {
@@ -72,17 +61,6 @@ def _error_quantiles(errors: list[float]) -> dict[str, float]:
         "max": round(ordered[-1] if ordered else 0.0, 6),
         "mean": round(sum(ordered) / len(ordered), 6) if ordered else 0.0,
     }
-
-
-def _rows_digest(rows: tuple) -> str:
-    """Order-independent digest of one query's result rows.
-
-    The pushed SQL differs between passes when calibration moves the
-    gate, which may permute fetch order; the result *set* must not
-    change, so rows are canonicalized before hashing.
-    """
-    canonical = "\n".join(sorted(repr(row) for row in rows))
-    return hashlib.sha256(canonical.encode("utf-8")).hexdigest()
 
 
 def _workload(
@@ -151,8 +129,13 @@ def run_calibration_bench(
                 plan_cache=PlanCache(),
                 stats_cache=stats_cache,
             )
+            # The pushed SQL differs between passes when calibration
+            # moves the gate, which may permute fetch order; the result
+            # *set* must not change, so digests are order-insensitive.
             baseline_digests = [
-                _rows_digest(baseline.execute_optimized(query).rows)
+                rows_digest(
+                    [baseline.execute_optimized(query).rows], ordered=False
+                )
                 for query in queries
             ]
 
@@ -165,7 +148,9 @@ def run_calibration_bench(
                 pass_digests: list[str] = []
                 for query in queries:
                     report = executor.execute_optimized(query)
-                    pass_digests.append(_rows_digest(report.rows))
+                    pass_digests.append(
+                        rows_digest([report.rows], ordered=False)
+                    )
                     if (
                         report.estimated_selectivity is not None
                         and report.actual_selectivity is not None
@@ -247,3 +232,34 @@ def run_calibration_bench(
             }
         finally:
             loaded.db.close()
+
+
+def add_arguments(parser: argparse.ArgumentParser) -> None:
+    count_flag(
+        parser, "--passes", 2, 4, "passes through the calibrated executor"
+    )
+
+
+def run(config: ExperimentConfig, args: argparse.Namespace) -> dict:
+    return run_calibration_bench(config, passes=args.passes)
+
+
+def summary(report: dict) -> list[str]:
+    lines = []
+    for entry in report["pass_reports"]:
+        error = entry["abs_error"]
+        lines.append(
+            f"pass {entry['pass']}: |est-actual| "
+            f"p50={error['p50']:.4f} p90={error['p90']:.4f} "
+            f"max={error['max']:.4f} "
+            f"(overlay hits {entry['overlay_hits']}/"
+            f"{entry['overlay_lookups']}, "
+            f"recalibrations {entry['recalibrations']})"
+        )
+    lines.append(
+        "error quantiles strictly shrunk: "
+        f"{report['first_vs_last']['strictly_shrunk']}; rows identical "
+        f"across passes: {report['rows_identical_across_passes']}, "
+        f"vs uncalibrated: {report['rows_identical_to_uncalibrated']}"
+    )
+    return lines

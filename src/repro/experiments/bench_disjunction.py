@@ -28,6 +28,7 @@ row multiset must match the flat query's.
 
 from __future__ import annotations
 
+import argparse
 import time
 from itertools import islice
 
@@ -45,6 +46,7 @@ from repro.core.predicates import (
     disjunct_count,
 )
 from repro.exceptions import ReproError
+from repro.experiments.benches import count_flag, row_batches
 from repro.experiments.config import ExperimentConfig, SMOKE_CONFIG
 from repro.experiments.harness import (
     dataset_for,
@@ -74,18 +76,6 @@ from repro.workload.measurement import (
 DEMO_SEGMENTS = 4
 #: Rows loaded into the demo table (dataset rows cycled).
 DEMO_ROWS = 20_000
-
-
-def _row_batches(
-    rows: list[dict], total: int, batch_size: int
-) -> list[ColumnBatch]:
-    """``total`` rows in ``batch_size`` chunks, cycling the dataset."""
-    repeats = -(-total // len(rows))
-    stream = (rows * repeats)[:total]
-    return [
-        ColumnBatch(stream[start : start + batch_size])
-        for start in range(0, total, batch_size)
-    ]
 
 
 def widest_envelopes(
@@ -281,7 +271,7 @@ def run_disjunction_bench(
         estimator.stats_version = stats.version
 
         reset_plan_memo()
-        batches = _row_batches(source_rows, rows, batch_size)
+        batches = row_batches(source_rows, rows, batch_size)
         envelope_reports = [
             _bench_envelope(case, batches, estimator) for case in cases
         ]
@@ -303,3 +293,29 @@ def run_disjunction_bench(
             },
             "union_lowering": union,
         }
+
+
+def add_arguments(parser: argparse.ArgumentParser) -> None:
+    count_flag(parser, "--rows", 1, 8192, "rows streamed through evaluation")
+
+
+def run(config: ExperimentConfig, args: argparse.Namespace) -> dict:
+    return run_disjunction_bench(config, rows=args.rows)
+
+
+def summary(report: dict) -> list[str]:
+    union = report["union_lowering"]
+    return [
+        f"{envelope['family']}/{envelope['label']}: "
+        f"{envelope['disjuncts']} disjuncts, "
+        f"naive {envelope['naive_seconds']:.3f}s, "
+        f"cached {envelope['cached_seconds']:.3f}s "
+        f"({envelope['speedup']:.2f}x, share ratio "
+        f"{envelope['share_ratio']:.2f})"
+        for envelope in report["envelopes"]
+    ] + [
+        f"union lowering: flat {union['flat_access_path']} -> "
+        f"{union['branches']} branches {union['union_access_path']} "
+        f"(rows identical: {union['rows_identical']})",
+        f"overall speedup {report['overall']['speedup']:.2f}x",
+    ]

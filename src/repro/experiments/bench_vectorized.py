@@ -21,14 +21,14 @@ broken execution.
 
 from __future__ import annotations
 
-import json
+import argparse
 import time
-from pathlib import Path
 
 from repro.core.catalog import ModelCatalog
 from repro.core.optimizer import MiningQuery
 from repro.core.rewrite import PredictionEquals, PredictionIn
 from repro.exceptions import WorkloadError
+from repro.experiments.benches import count_flag, rows_digest
 from repro.experiments.config import DEFAULT_CONFIG, ExperimentConfig
 from repro.experiments.harness import dataset_for, numeric_feature_columns
 from repro.mining.base import MiningModel
@@ -132,21 +132,13 @@ def _best_naive(
     return best
 
 
-def _row_bytes(report: ExecutionReport) -> bytes:
-    """Canonical serialization of the result rows, for identity checks."""
-    return json.dumps(
-        [sorted(row.items()) for row in report.rows], default=repr
-    ).encode()
-
-
 def benchmark_vectorized_scoring(
     config: ExperimentConfig = DEFAULT_CONFIG,
     repeats: int = 3,
-    path: str | Path = "BENCH_vectorized_scoring.json",
     scale: str | None = None,
     batch_size: int = 2048,
 ) -> dict:
-    """Time scalar vs vectorized residual scoring; write a report.
+    """Time scalar vs vectorized residual scoring; return the report.
 
     Raises :class:`~repro.exceptions.WorkloadError` if any family's
     vectorized rows differ from the scalar rows — the equality invariant
@@ -180,8 +172,8 @@ def benchmark_vectorized_scoring(
             query = _query_for(model, loaded.table)
             scalar_report = _best_naive(scalar, query, repeats)
             vectorized_report = _best_naive(vectorized, query, repeats)
-            identical = _row_bytes(scalar_report) == _row_bytes(
-                vectorized_report
+            identical = rows_digest([scalar_report.rows]) == rows_digest(
+                [vectorized_report.rows]
             )
             if not identical:
                 raise WorkloadError(
@@ -211,7 +203,7 @@ def benchmark_vectorized_scoring(
             )
     finally:
         loaded.db.close()
-    report = {
+    return {
         "benchmark": "vectorized_scoring",
         "scale": scale,
         "dataset": BENCH_DATASET,
@@ -227,5 +219,33 @@ def benchmark_vectorized_scoring(
         ),
         "all_rows_identical": all(f["rows_identical"] for f in families),
     }
-    Path(path).write_text(json.dumps(report, indent=2) + "\n")
-    return report
+
+
+def add_arguments(parser: argparse.ArgumentParser) -> None:
+    count_flag(parser, "--batch-size", 1, 2048, "rows per columnar batch")
+
+
+def run(config: ExperimentConfig, args: argparse.Namespace) -> dict:
+    return benchmark_vectorized_scoring(
+        config, scale=args.scale, batch_size=args.batch_size
+    )
+
+
+def _times(speedup: float | None) -> str:
+    return f"{speedup:.2f}x" if speedup is not None else "n/a"
+
+
+def summary(report: dict) -> list[str]:
+    lines = [
+        f"{entry['family']}: scalar "
+        f"{entry['scalar_model_seconds']:.3f}s, vectorized "
+        f"{entry['vectorized_model_seconds']:.3f}s "
+        f"(speedup {_times(entry['speedup'])}, rows identical: "
+        f"{entry['rows_identical']})"
+        for entry in report["families"]
+    ]
+    lines.append(
+        f"overall speedup {_times(report['overall_speedup'])}; "
+        f"all rows identical: {report['all_rows_identical']}"
+    )
+    return lines

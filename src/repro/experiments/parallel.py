@@ -24,15 +24,18 @@ the serial path when it resolves to 1.
 
 from __future__ import annotations
 
-import json
+import argparse
 import os
 import time
 from collections.abc import Callable, Iterable, Sequence
 from concurrent.futures import ProcessPoolExecutor, as_completed
-from pathlib import Path
 
 from repro import obs
-from repro.experiments.config import DEFAULT_CONFIG, ExperimentConfig
+from repro.experiments.config import (
+    DEFAULT_CONFIG,
+    ExperimentConfig,
+    default_jobs,
+)
 from repro.workload.measurement import QueryMeasurement
 
 #: One independent unit of the sweep grid.
@@ -135,10 +138,9 @@ def run_tasks(
 def benchmark_parallel_sweep(
     config: ExperimentConfig = DEFAULT_CONFIG,
     jobs: Iterable[int] = (1, 4),
-    path: str | Path = "BENCH_parallel_sweep.json",
     scale: str | None = None,
 ) -> dict:
-    """Time the same sweep serially and in parallel; write a report.
+    """Time the same sweep serially and in parallel; return the report.
 
     Disk and in-process caches are bypassed so every run measures real
     compute.  The report records per-run wall-clock, the speedup of each
@@ -181,7 +183,7 @@ def benchmark_parallel_sweep(
         run["speedup_vs_first"] = (
             serial_seconds / run["seconds"] if run["seconds"] > 0 else None
         )
-    report = {
+    return {
         "benchmark": "parallel_sweep",
         "scale": scale,
         "cpu_count": os.cpu_count(),
@@ -192,5 +194,28 @@ def benchmark_parallel_sweep(
         "runs": runs,
         "identical_measurements": all(k == keys[0] for k in keys[1:]),
     }
-    Path(path).write_text(json.dumps(report, indent=2) + "\n")
-    return report
+
+
+def add_arguments(parser: argparse.ArgumentParser) -> None:
+    """Nothing of its own: the parallel side is the shared ``--jobs``."""
+
+
+def run(config: ExperimentConfig, args: argparse.Namespace) -> dict:
+    parallel_jobs = default_jobs()
+    if parallel_jobs <= 1:
+        parallel_jobs = os.cpu_count() or 1
+    return benchmark_parallel_sweep(
+        config, jobs=(1, parallel_jobs), scale=args.scale
+    )
+
+
+def summary(report: dict) -> list[str]:
+    return [
+        f"jobs={run_['jobs']}: {run_['seconds']:.2f}s "
+        f"({run_['measurements']} measurements, "
+        f"speedup {run_['speedup_vs_first']:.2f}x)"
+        for run_ in report["runs"]
+    ] + [
+        "identical measurement sets: "
+        f"{report['identical_measurements']}"
+    ]

@@ -12,8 +12,9 @@ Layout (format 3): each sweep owns a directory
 Shards are written atomically (tempfile + ``os.replace``) so an
 interrupted writer never leaves a half-written file behind and concurrent
 workers of the parallel engine (:mod:`repro.experiments.parallel`) can
-persist their tasks without clobbering each other.  Legacy single-file
-format-2 caches are migrated to shards on first read.
+persist their tasks without clobbering each other.  The cache is
+regenerable by definition, so anything that is not a valid format-3
+shard — an older layout's file included — is a miss, never migrated.
 """
 
 from __future__ import annotations
@@ -34,7 +35,6 @@ from repro.workload.measurement import QueryMeasurement
 #: layout changes.  Format 2 was one monolithic JSON file per sweep;
 #: format 3 shards the sweep into per-task files (see module docstring).
 _FORMAT = 3
-_LEGACY_FORMAT = 2
 
 
 def cache_enabled() -> bool:
@@ -54,12 +54,12 @@ def default_cache_dir() -> Path:
     return Path(".repro_cache")
 
 
-def config_fingerprint(config: ExperimentConfig, fmt: int = _FORMAT) -> str:
+def config_fingerprint(config: ExperimentConfig) -> str:
     """Stable hash of a configuration plus the library version."""
     from repro import __version__
 
     payload = json.dumps(
-        {"config": asdict(config), "version": __version__, "fmt": fmt},
+        {"config": asdict(config), "version": __version__, "fmt": _FORMAT},
         sort_keys=True,
         default=str,
     )
@@ -186,54 +186,13 @@ def load_sweep(
 
     A sweep is complete when every (dataset, family) task of the
     configuration has a valid shard; otherwise the harness re-runs only
-    the missing tasks via :func:`load_task`.  A legacy format-2 single
-    file is migrated to shards on first read.
+    the missing tasks via :func:`load_task`.
     """
     measurements: list[QueryMeasurement] = []
     for dataset in config.datasets:
         for family in config.families:
             entry = load_task(config, dataset, family, cache_dir)
             if entry is None:
-                return _migrate_legacy(config, cache_dir)
+                return None
             measurements.extend(entry)
     return measurements
-
-
-def _migrate_legacy(
-    config: ExperimentConfig,
-    cache_dir: Path | None = None,
-) -> list[QueryMeasurement] | None:
-    """Split a format-2 monolithic sweep file into format-3 shards."""
-    directory = cache_dir if cache_dir is not None else default_cache_dir()
-    legacy = (
-        directory
-        / f"sweep_{config_fingerprint(config, fmt=_LEGACY_FORMAT)}.json"
-    )
-    if not legacy.exists():
-        return None
-    try:
-        payload = json.loads(legacy.read_text())
-        if payload.get("format") != _LEGACY_FORMAT:
-            return None
-        loaded = [
-            _measurement_from_dict(entry)
-            for entry in payload["measurements"]
-        ]
-    except (ValueError, KeyError, TypeError):
-        return None
-    # Reassemble in configuration order and require completeness before
-    # committing any shard, so a truncated legacy file stays a miss.
-    by_task: dict[tuple[str, str], list[QueryMeasurement]] = {}
-    for measurement in loaded:
-        key = (measurement.dataset, measurement.family)
-        by_task.setdefault(key, []).append(measurement)
-    ordered: list[QueryMeasurement] = []
-    for dataset in config.datasets:
-        for family in config.families:
-            entry = by_task.get((dataset, family))
-            if not entry:
-                return None
-            ordered.extend(entry)
-    for (dataset, family), task_measurements in by_task.items():
-        save_task(config, dataset, family, task_measurements, cache_dir)
-    return ordered

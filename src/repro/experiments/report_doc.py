@@ -285,7 +285,44 @@ def render_experiments_md(config: ExperimentConfig = DEFAULT_CONFIG) -> str:
         "`BENCH_vectorized_scoring.json`.\n"
         "- **Parallel sweep** (`--jobs`/`REPRO_JOBS`): shards the "
         "measurement grid across worker processes; `python -m repro "
-        "bench-parallel` records serial-vs-parallel timings.\n"
+        "bench-parallel` records serial-vs-parallel timings and that "
+        "both produce the same measurement set "
+        "(`BENCH_parallel_sweep.json`).\n"
+        "- **One bench harness**: every `BENCH_*.json` is written by one "
+        "writer that stamps an `environment` block (git SHA, `cpu_count`, "
+        "Python and numpy versions, scale, seed); each bench is a "
+        "subcommand with its own flags (`python -m repro COMMAND "
+        "--help`), and under `--trace DIR` `trace-report` renders that "
+        "bench's section.\n"
+        "- **Disjunction execution** (`disjunction-bench`, "
+        "`BENCH_disjunction.json`): the widest NB/clustering envelopes "
+        "through the interned-node mask cache vs. the naive "
+        "clause-by-clause path (byte-identical masks enforced before any "
+        "speedup is reported), plus the UNION-of-index-range "
+        "demonstration: a low-cardinality indexed OR whose flat form "
+        "full-scans while the adopted disjoint `UNION ALL` seeks the "
+        "index on every branch with an identical row multiset.\n"
+        "- **Calibration loop** (`calibration-bench`, "
+        "`BENCH_calibration.json`): measured selectivities feed a "
+        "per-(table, predicate-fingerprint) `CalibrationStore` whose EWMA "
+        "overlays the static estimate, and the plan cache drops plans "
+        "whose recorded estimate diverges from the calibrated one. The "
+        "bench refuses to report unless abs-error quantiles strictly "
+        "shrink from the first pass to the last *and* every pass returns "
+        "rows byte-identical to an uncalibrated run.\n"
+        "- **Open-loop load / SLO** (`load-bench`, `BENCH_load.json`): "
+        "seeded arrival schedules (`--arrivals "
+        "{constant,poisson,burst,ramp}`) fired at pre-computed "
+        "timestamps whether or not earlier requests completed, latency "
+        "charged from the scheduled time (a closed-loop client like "
+        "`serve-bench` slows to the service rate and cannot observe "
+        "overload). Capacity is *measured* by a closed-loop probe at the "
+        "configured worker count, not modelled from a serial one; the "
+        "deadline and rates derive from it. Same-seed schedules must "
+        "replay float-identically with byte-identical rows, then static "
+        "vs AIMD-adaptive admission are compared under 3x-capacity "
+        "overload on the same schedule: adaptive must win goodput and "
+        "p99 and shed at admission where static times out in queue.\n"
         "- **Tracing** (`--trace DIR`/`REPRO_TRACE_DIR`): every "
         "derivation/optimization/execution phase is traced to JSON-lines "
         "files (one per process; sweep workers write per-task shards). "

@@ -18,23 +18,39 @@ questions closed-loop replay cannot:
    timeouts (the expensive failure: callers burn their whole deadline)
    into admission-time sheds (the cheap one: callers learn instantly).
 
-Rates and deadlines are **auto-calibrated** from a serial probe of the
-actual machine — mean service time ``s̄`` gives capacity
-``workers / s̄``; the determinism runs offer half of it, the overload
-runs three times it, and the per-request deadline is
-``max(8 s̄, 0.25 · max_pending · s̄ / workers)`` — far above a normal
-round trip, far below the full-queue wait, so a static controller
-*must* strand requests in queue past their deadlines under overload.
+Rates and deadlines are **auto-calibrated** from two probes of the
+actual machine.  A serial probe gives the mean service time ``s̄``; a
+closed-loop probe that keeps ``workers`` requests in flight against an
+engine with ``workers`` threads *measures* capacity ``C`` (threads share
+one interpreter lock, so ``workers / s̄`` overstates it — on two cores
+two workers have been measured slower than one).  :func:`calibrate`
+derives everything else from ``C``: the determinism runs offer half of
+it, the overload runs three times it, and the per-request deadline is
+``max(8 · workers / C, 0.25 · max_pending / C)`` — far above a normal
+round trip at that concurrency, far below the full-queue wait, so a
+static controller *must* strand requests in queue past their deadlines
+under overload.
+
+The dataset, deployed models, queries, router bootstrap and transport
+switch are :mod:`repro.serve.bench`'s :class:`ServingFixture` and
+:func:`open_transport`; this module only adds the open-loop replay.
 """
 
 from __future__ import annotations
 
+import argparse
 import time
+from contextlib import closing
+from dataclasses import dataclass
 
 from repro import obs
 from repro.exceptions import ReproError
+from repro.experiments.benches import (
+    count_flag,
+    positive_float,
+    rows_digest,
+)
 from repro.experiments.config import ExperimentConfig
-from repro.experiments.harness import dataset_for, train_family
 from repro.load.arrivals import (
     DEFAULT_BURST_DUTY,
     ArrivalSchedule,
@@ -42,23 +58,16 @@ from repro.load.arrivals import (
 )
 from repro.load.runner import LoadResult, run_load
 from repro.load.slo import SLOReport, summarize_load
-from repro.serve.bench import build_queries, build_schedule, rows_digest
-from repro.serve.engine import DeployRequest, QueryRequest, ServeEngine
-from repro.serve.registry import ModelRegistry
-from repro.serve.router import ProcessRouter
-from repro.serve.transport import (
-    LoopbackTransport,
-    TCPServer,
-    connect_tcp,
-    serve_socketpair,
+from repro.serve.bench import (
+    ServingFixture,
+    add_engine_arguments,
+    open_transport,
+    replay_closed_loop,
 )
-from repro.workload.measurement import (
-    FAMILY_DECISION_TREE,
-    FAMILY_NAIVE_BAYES,
-)
-from repro.workload.runner import load_dataset
+from repro.serve.engine import QueryRequest
+from repro.serve.transport import Transport
 
-__all__ = ["run_load_bench"]
+__all__ = ["calibrate", "run_load_bench"]
 
 #: Offered-load multipliers relative to measured capacity.
 DETERMINISM_FRACTION = 0.5
@@ -69,81 +78,87 @@ OVERLOAD_FACTOR = 3.0
 ADAPTIVE_TIMEOUT_TOLERANCE = 0.05
 
 
-def _build_engine(
-    db,
-    registry,
-    config: ExperimentConfig,
-    workers: int,
-    max_pending: int,
-    **engine_options,
-) -> ServeEngine:
-    return ServeEngine(
-        db,
-        registry,
-        workers=workers,
-        max_pending=max_pending,
-        selectivity_gate=config.selectivity_gate,
-        **engine_options,
-    )
+@dataclass(frozen=True)
+class LoadPlan:
+    """What every replay of one load-bench run shares."""
+
+    arrivals: str
+    indices: list[int]
+    workers: int
+    deadline: float
 
 
-def _load_router_bootstrap(
-    config: ExperimentConfig, dataset_name: str, max_pending: int
-):
-    """One router worker's engine for the determinism section.
+def calibrate(
+    capacity: float, workers: int, max_pending: int, arrivals: str
+) -> tuple[float, float, float]:
+    """``(deadline, determinism_rate, overload_rate)`` from a measurement.
 
-    Top-level (picklable); each worker rebuilds the dataset
-    deterministically and receives models as deploy broadcasts.
+    ``capacity`` is the throughput (requests/second) a closed-loop probe
+    sustained with ``workers`` requests in flight, so by Little's law a
+    request spends ``workers / capacity`` seconds in the engine at that
+    concurrency.  Nothing here assumes threads scale: every rate is a
+    fraction or multiple of what was measured.
     """
-    dataset = dataset_for(config, dataset_name)
-    loaded = load_dataset(dataset, config.rows_target)
-    registry = ModelRegistry(max_nodes=config.max_nodes)
-    return ServeEngine(
-        loaded.db,
-        registry,
-        workers=2,
-        max_pending=max_pending,
-        selectivity_gate=config.selectivity_gate,
+    in_engine = workers / capacity
+    deadline = max(8.0 * in_engine, 0.25 * max_pending / capacity)
+    # The determinism pass must never drop a request, so it is sized
+    # against *peak* intensity, not the mean: burst arrivals concentrate
+    # the whole mean rate into the duty fraction of each period
+    # (instantaneous rate = rate / duty).
+    peak_factor = 1.0 / DEFAULT_BURST_DUTY if arrivals == "burst" else 1.0
+    return (
+        deadline,
+        DETERMINISM_FRACTION * capacity / peak_factor,
+        OVERLOAD_FACTOR * capacity,
     )
+
+
+def _probe(
+    fixture: ServingFixture, indices: list[int], workers: int
+) -> tuple[float, float]:
+    """``(serial seconds per request, closed-loop capacity in req/s)``.
+
+    One warmed engine at the configured ``workers``, collapsing off so
+    every request is executed: first the schedule one request at a time,
+    then the same schedule with ``workers`` in flight.
+    """
+    with open_transport(
+        "inproc", fixture, workers, collapsing=False
+    ) as (client, _):
+        started = time.perf_counter()
+        for index in indices:
+            client.request(QueryRequest(fixture.queries[index]))
+        service_mean = (time.perf_counter() - started) / len(indices)
+        _, seconds = replay_closed_loop(
+            client, fixture.queries, indices, window=workers
+        )
+    return service_mean, len(indices) / seconds
 
 
 def _report_row(report: SLOReport) -> dict:
-    row = report.to_dict()
-    row["latency_ms"] = {
-        name: round(seconds * 1000.0, 3)
-        for name, seconds in report.latency.items()
+    """``report.to_dict()`` with percentiles in ms and floats rounded."""
+    row = {
+        key: round(value, 4) if isinstance(value, float) else value
+        for key, value in report.to_dict().items()
     }
-    row["jitter_ms"] = {
-        name: round(seconds * 1000.0, 3)
-        for name, seconds in report.jitter.items()
-    }
-    del row["latency_seconds"], row["jitter_seconds"]
-    for key in (
-        "duration_seconds",
-        "offered_rate",
-        "goodput",
-        "miss_rate",
-        "shed_rate",
-        "latency_mean_seconds",
-        "latency_max_seconds",
-        "queue_mean_seconds",
-        "service_mean_seconds",
-        "issue_lag_max_seconds",
-    ):
-        row[key] = round(row[key], 4)
+    for name in ("latency", "jitter"):
+        row[f"{name}_ms"] = {
+            quantile: round(seconds * 1000.0, 3)
+            for quantile, seconds in row.pop(f"{name}_seconds").items()
+        }
     return row
 
 
 def _run_open_loop(
-    transport,
-    queries,
-    indices,
+    transport: Transport,
+    fixture: ServingFixture,
+    plan: LoadPlan,
     schedule: ArrivalSchedule,
-    deadline: float,
     keep_results: bool = False,
 ) -> "tuple[LoadResult, SLOReport]":
     requests = [
-        QueryRequest(queries[index], timeout=deadline) for index in indices
+        QueryRequest(fixture.queries[index], timeout=plan.deadline)
+        for index in plan.indices
     ]
     result = run_load(
         transport, schedule, requests, keep_results=keep_results
@@ -171,60 +186,28 @@ def run_load_bench(
     admission comparison always runs in-process, where the two
     controllers are the only variable).
     """
-    with obs.span("load.bench", requests=requests, arrivals=arrivals):
-        name = dataset_name or config.datasets[0]
-        dataset = dataset_for(config, name)
-        loaded = load_dataset(dataset, config.rows_target)
-        db = loaded.db
-
-        registry = ModelRegistry(max_nodes=config.max_nodes)
-        model_payloads: list[dict] = []
-        for family in (FAMILY_DECISION_TREE, FAMILY_NAIVE_BAYES):
-            trained = train_family(dataset, family, config)
-            model_payloads.append(trained.model.to_dict())
-            registry.register(trained.model, deploy=True)
-
-        queries = build_queries(registry, loaded)
-        indices = build_schedule(len(queries), requests, config.seed)
-
-        # -- serial capacity probe ------------------------------------
-        # One warmed engine, one request at a time: mean service time
-        # s̄ calibrates every rate and deadline below to this machine.
-        probe = _build_engine(db, registry, config, 1, max_pending)
-        try:
-            for query in queries:  # warm plans + stats off the clock
-                probe.execute(QueryRequest(query))
-            started = time.perf_counter()
-            for index in indices:
-                probe.execute(QueryRequest(queries[index]))
-            service_mean = (time.perf_counter() - started) / len(indices)
-        finally:
-            probe.shutdown()
-
-        capacity = workers / service_mean
-        if deadline is None:
-            deadline = max(
-                8.0 * service_mean,
-                0.25 * max_pending * service_mean / workers,
-            )
-        # The determinism pass must never drop a request, so it is
-        # sized against *peak* intensity, not the mean: burst arrivals
-        # concentrate the whole mean rate into the duty fraction of
-        # each period (instantaneous rate = rate / duty).
-        peak_factor = (
-            1.0 / DEFAULT_BURST_DUTY if arrivals == "burst" else 1.0
+    with obs.span(
+        "load.bench", requests=requests, arrivals=arrivals
+    ), closing(ServingFixture(config, dataset_name, max_pending)) as fixture:
+        indices = fixture.schedule(requests)
+        service_mean, capacity = _probe(fixture, indices, workers)
+        auto_deadline, determinism_rate, overload_rate = calibrate(
+            capacity, workers, max_pending, arrivals
         )
-        determinism_rate = DETERMINISM_FRACTION * capacity / peak_factor
-        overload_rate = (
-            rate if rate is not None else OVERLOAD_FACTOR * capacity
+        plan = LoadPlan(
+            arrivals=arrivals,
+            indices=indices,
+            workers=workers,
+            deadline=auto_deadline if deadline is None else deadline,
         )
-
-        payload: dict = {
+        if rate is not None:
+            overload_rate = rate
+        return {
             "benchmark": "load",
-            "dataset": dataset.name,
-            "rows": loaded.rows_total,
-            "models": registry.deployed_names(),
-            "distinct_queries": len(queries),
+            "dataset": fixture.loaded.dataset.name,
+            "rows": fixture.loaded.rows_total,
+            "models": fixture.registry.deployed_names(),
+            "distinct_queries": len(fixture.queries),
             "requests": requests,
             "arrivals": arrivals,
             "seed": config.seed,
@@ -233,68 +216,32 @@ def run_load_bench(
             "transport": transport,
             "calibration": {
                 "service_mean_ms": round(service_mean * 1000.0, 3),
+                "serial_rps": round(1.0 / service_mean, 2),
                 "capacity_rps": round(capacity, 2),
-                "deadline_ms": round(deadline * 1000.0, 3),
+                "deadline_ms": round(plan.deadline * 1000.0, 3),
                 "determinism_rate_rps": round(determinism_rate, 2),
                 "overload_rate_rps": round(overload_rate, 2),
             },
+            "determinism": _determinism_section(
+                fixture, plan, determinism_rate, transport, result_ttl
+            ),
+            "overload": _overload_section(fixture, plan, overload_rate),
         }
-
-        payload["determinism"] = _determinism_section(
-            config,
-            name,
-            db,
-            registry,
-            model_payloads,
-            queries,
-            indices,
-            arrivals,
-            determinism_rate,
-            requests,
-            deadline,
-            transport,
-            workers,
-            max_pending,
-            result_ttl,
-        )
-        payload["overload"] = _overload_section(
-            db,
-            registry,
-            config,
-            queries,
-            indices,
-            arrivals,
-            overload_rate,
-            requests,
-            deadline,
-            workers,
-            max_pending,
-        )
-        db.close()
-        return payload
 
 
 def _determinism_section(
-    config,
-    dataset_name,
-    db,
-    registry,
-    model_payloads,
-    queries,
-    indices,
-    arrivals,
-    rate,
-    requests,
-    deadline,
-    transport,
-    workers,
-    max_pending,
-    result_ttl,
+    fixture: ServingFixture,
+    plan: LoadPlan,
+    rate: float,
+    transport: str,
+    result_ttl: float | None,
 ) -> dict:
     """Same seed twice: identical offsets, byte-identical rows."""
-    schedule_a = build_arrivals(arrivals, rate, requests, config.seed)
-    schedule_b = build_arrivals(arrivals, rate, requests, config.seed)
-    if schedule_a.offsets != schedule_b.offsets:
+    seed = fixture.config.seed
+    requests = len(plan.indices)
+    schedule = build_arrivals(plan.arrivals, rate, requests, seed)
+    again = build_arrivals(plan.arrivals, rate, requests, seed)
+    if schedule.offsets != again.offsets:
         raise ReproError(
             "load-bench: same-seed arrival schedules differ"
         )
@@ -303,19 +250,7 @@ def _determinism_section(
     reports: list[SLOReport] = []
     for _ in range(2):
         result, report = _run_determinism_pass(
-            config,
-            dataset_name,
-            db,
-            registry,
-            model_payloads,
-            queries,
-            indices,
-            schedule_a,
-            deadline,
-            transport,
-            workers,
-            max_pending,
-            result_ttl,
+            fixture, plan, schedule, transport, result_ttl
         )
         dropped = (
             report.shed + report.queued_timeout + report.errors
@@ -328,9 +263,7 @@ def _determinism_section(
                 f"errors={report.errors})"
             )
         digests.append(
-            rows_digest(
-                [r.result.rows for r in result.completed_records()]
-            )
+            rows_digest(r.result.rows for r in result.completed_records())
         )
         reports.append(report)
     if digests[0] != digests[1]:
@@ -348,92 +281,25 @@ def _determinism_section(
 
 
 def _run_determinism_pass(
-    config,
-    dataset_name,
-    db,
-    registry,
-    model_payloads,
-    queries,
-    indices,
-    schedule,
-    deadline,
-    transport,
-    workers,
-    max_pending,
-    result_ttl,
-):
+    fixture: ServingFixture,
+    plan: LoadPlan,
+    schedule: ArrivalSchedule,
+    transport: str,
+    result_ttl: float | None,
+) -> "tuple[LoadResult, SLOReport]":
     """One below-capacity replay through the chosen transport."""
-    if transport == "router":
-        trace_dir = obs.trace_directory()
-        router = ProcessRouter(
-            _load_router_bootstrap,
-            args=(config, dataset_name, max_pending),
-            processes=2,
-            trace_dir=None if trace_dir is None else str(trace_dir),
-        )
-        try:
-            for payload in model_payloads:
-                router.control(DeployRequest(model=payload))
-            for query in queries:  # warm every worker replica
-                router.request(QueryRequest(query))
-            return _run_open_loop(
-                router,
-                queries,
-                indices,
-                schedule,
-                deadline,
-                keep_results=True,
-            )
-        finally:
-            router.close()
-
-    engine = _build_engine(
-        db,
-        registry,
-        config,
-        workers,
-        max_pending,
-        result_ttl=result_ttl,
-    )
-    server = None
-    client = None
-    try:
-        for query in queries:  # warm this engine's caches
-            engine.execute(QueryRequest(query))
-        if transport == "inproc":
-            client = LoopbackTransport(engine)
-        elif transport == "socketpair":
-            client, server = serve_socketpair(engine)
-        elif transport == "tcp":
-            server = TCPServer(engine)
-            client = connect_tcp(*server.address)
-        else:
-            raise ReproError(
-                f"load-bench: unknown transport {transport!r}"
-            )
+    # A router's "workers" are processes; two, each with its own engine.
+    workers = 2 if transport == "router" else plan.workers
+    with open_transport(
+        transport, fixture, workers, result_ttl=result_ttl
+    ) as (client, _):
         return _run_open_loop(
-            client, queries, indices, schedule, deadline, keep_results=True
+            client, fixture, plan, schedule, keep_results=True
         )
-    finally:
-        if client is not None:
-            client.close()
-        if server is not None:
-            server.close()
-        engine.shutdown()
 
 
 def _overload_section(
-    db,
-    registry,
-    config,
-    queries,
-    indices,
-    arrivals,
-    rate,
-    requests,
-    deadline,
-    workers,
-    max_pending,
+    fixture: ServingFixture, plan: LoadPlan, rate: float
 ) -> dict:
     """Static vs adaptive admission on the identical overload schedule.
 
@@ -448,39 +314,28 @@ def _overload_section(
     and idle between them, so the comparison is still reported but a
     gate miss is informational, not an error.
     """
-    enforce_gates = arrivals in ("constant", "poisson")
-    schedule = build_arrivals(arrivals, rate, requests, config.seed)
+    enforce_gates = plan.arrivals in ("constant", "poisson")
+    requests = len(plan.indices)
+    schedule = build_arrivals(
+        plan.arrivals, rate, requests, fixture.config.seed
+    )
     reports: dict[str, SLOReport] = {}
     rows: dict[str, dict] = {}
     for admission in ("static", "adaptive"):
-        engine = _build_engine(
-            db,
-            registry,
-            config,
-            workers,
-            max_pending,
+        with open_transport(
+            "inproc",
+            fixture,
+            plan.workers,
             admission=admission,
             collapsing=False,
-        )
-        try:
-            for query in queries:
-                engine.execute(QueryRequest(query))
-            _, report = _run_open_loop(
-                LoopbackTransport(engine),
-                queries,
-                indices,
-                schedule,
-                deadline,
-            )
+        ) as (client, engine):
+            _, report = _run_open_loop(client, fixture, plan, schedule)
             reports[admission] = report
-            row = _report_row(report)
+            rows[admission] = _report_row(report)
             if admission == "adaptive":
-                row["admission_limit_final"] = round(
+                rows[admission]["admission_limit_final"] = round(
                     engine.admission.limit, 2
                 )
-            rows[admission] = row
-        finally:
-            engine.shutdown()
 
     static, adaptive = reports["static"], reports["adaptive"]
     gates = {
@@ -515,3 +370,85 @@ def _overload_section(
         "gates": gates,
         "gates_enforced": enforce_gates,
     }
+
+
+def add_arguments(parser: argparse.ArgumentParser) -> None:
+    add_engine_arguments(parser)
+    count_flag(parser, "--requests", 1, 400, "requests per run")
+    parser.add_argument(
+        "--transport",
+        choices=("inproc", "socketpair", "tcp", "router"),
+        default="inproc",
+        help="the transport for the determinism section (default: inproc)",
+    )
+    parser.add_argument(
+        "--arrivals",
+        choices=("constant", "poisson", "burst", "ramp"),
+        default="poisson",
+        help="arrival process shape (default: poisson)",
+    )
+    parser.add_argument(
+        "--rate",
+        type=positive_float,
+        default=None,
+        metavar="RPS",
+        help="offered overload rate in requests/second "
+        "(default: 3x the measured capacity)",
+    )
+    parser.add_argument(
+        "--deadline",
+        type=positive_float,
+        default=None,
+        metavar="SECONDS",
+        help="per-request deadline "
+        "(default: calibrated from the measured capacity)",
+    )
+
+
+def run(config: ExperimentConfig, args: argparse.Namespace) -> dict:
+    return run_load_bench(
+        config,
+        arrivals=args.arrivals,
+        rate=args.rate,
+        requests=args.requests,
+        workers=args.workers,
+        deadline=args.deadline,
+        transport=args.transport,
+        result_ttl=args.result_ttl,
+    )
+
+
+def summary(report: dict) -> list[str]:
+    calibration = report["calibration"]
+    determinism = report["determinism"]
+    overload = report["overload"]
+    lines = [
+        f"calibration: service mean "
+        f"{calibration['service_mean_ms']:.2f}ms, capacity "
+        f"{calibration['capacity_rps']:.0f} req/s at "
+        f"{report['workers']} workers "
+        f"(serial {calibration['serial_rps']:.0f} req/s), deadline "
+        f"{calibration['deadline_ms']:.1f}ms",
+        f"determinism[{determinism['transport']}] at "
+        f"{determinism['rate_rps']:.0f} req/s: offsets identical "
+        f"{determinism['offsets_identical']}, rows identical "
+        f"{determinism['rows_identical']}",
+    ]
+    for policy in ("static", "adaptive"):
+        row = overload[policy]
+        lines.append(
+            f"overload[{policy}] at {overload['rate_rps']:.0f} "
+            f"req/s: goodput {row['goodput']:.1f} req/s, p99 "
+            f"{row['latency_ms']['p99']:.1f}ms, shed "
+            f"{row['shed']}, queued timeouts "
+            f"{row['queued_timeout']}, late {row['late']}"
+        )
+    passed = sorted(name for name, ok in overload["gates"].items() if ok)
+    missed = sorted(name for name, ok in overload["gates"].items() if not ok)
+    lines.append("gates passed: " + (", ".join(passed) or "none"))
+    if missed:
+        lines.append(
+            "gates informational (bursty arrivals, not enforced): "
+            + ", ".join(missed)
+        )
+    return lines

@@ -25,6 +25,7 @@ speedup is only reported if the answers are byte-identical.
 
 from __future__ import annotations
 
+import argparse
 import time
 from itertools import islice
 
@@ -43,6 +44,7 @@ from repro.core.predicates import (
     TruePredicate,
 )
 from repro.exceptions import ReproError
+from repro.experiments.benches import count_flag, row_batches
 from repro.experiments.config import ExperimentConfig, SMOKE_CONFIG
 from repro.experiments.harness import (
     dataset_for,
@@ -158,18 +160,6 @@ def build_catalog(
     return catalog, rows, meta
 
 
-def _row_batches(
-    rows: list[dict], total: int, batch_size: int
-) -> list[ColumnBatch]:
-    """``total`` rows in ``batch_size`` chunks, cycling the dataset."""
-    repeats = -(-total // len(rows))
-    stream = (rows * repeats)[:total]
-    return [
-        ColumnBatch(stream[start : start + batch_size])
-        for start in range(0, total, batch_size)
-    ]
-
-
 def _naive_match(
     evaluator: PredicateSetEvaluator, batch: ColumnBatch
 ) -> tuple[tuple[str, ...], ...]:
@@ -205,7 +195,7 @@ def run_segment_bench(
             config, dataset_name, segments, rng
         )
         evaluator = PredicateSetEvaluator(catalog)
-        batches = _row_batches(source_rows, rows, batch_size)
+        batches = row_batches(source_rows, rows, batch_size)
 
         # Warm both paths' column caches off the clock, on a throwaway
         # batch, so neither side pays the first-touch astype cost.
@@ -262,3 +252,31 @@ def run_segment_bench(
             "structure": structure,
             "memberships_identical": True,
         }
+
+
+def add_arguments(parser: argparse.ArgumentParser) -> None:
+    count_flag(parser, "--segments", 1, 1000, "catalog size")
+    count_flag(parser, "--rows", 1, 8192, "rows streamed through matching")
+
+
+def run(config: ExperimentConfig, args: argparse.Namespace) -> dict:
+    return run_segment_bench(config, segments=args.segments, rows=args.rows)
+
+
+def summary(report: dict) -> list[str]:
+    naive, shared = report["naive"], report["shared"]
+    return [
+        f"catalog: {report['segments']} segments "
+        f"({report['model_segments']} model-backed, "
+        f"{report['hand_written_segments']} hand-written), "
+        f"{report['rows']} rows in {report['batches']} batches",
+        f"naive:  {naive['seconds']:.2f}s "
+        f"({naive['rows_per_second']:.0f} rows/s)",
+        f"shared: {shared['seconds']:.2f}s "
+        f"({shared['rows_per_second']:.0f} rows/s, "
+        f"{shared['masks_computed']} masks computed, "
+        f"{shared['masks_shared']} shared, "
+        f"share ratio {shared['share_ratio']:.2f})",
+        f"speedup {report['speedup']:.2f}x; memberships identical: "
+        f"{report['memberships_identical']}",
+    ]

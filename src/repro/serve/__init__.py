@@ -48,7 +48,8 @@ the service does* is independent of *how bytes reach it*:
   collapsing, and a dedicated match batcher.
 * :mod:`repro.serve.bench` — the ``serve-bench`` CLI artifact
   (``BENCH_serving.json``), including the transport/router byte-identity
-  matrix.
+  matrix, and the serving fixture, router bootstrap and transport
+  switch that ``load-bench`` and the ``serve`` subcommand share.
 
 Everything emits ``serve.*`` spans/counters/gauges through
 :mod:`repro.obs`; ``trace-report`` renders them as dedicated "Serving"

@@ -4,7 +4,7 @@ Measures what the serving layer buys over the one-query-at-a-time
 executor the earlier PRs benchmarked: a *serial baseline* executes a
 request schedule through a single :class:`~repro.sql.miningext.
 PredictionJoinExecutor` loop, then the same schedule is replayed through
-a :class:`~repro.serve.service.QueryService` at increasing worker
+a :class:`~repro.serve.engine.ServeEngine` at increasing worker
 counts.  Every concurrent result is checked **bit-identical** to its
 serial counterpart, and the run asserts zero shed requests — the
 submission loop is closed-loop, keeping in-flight requests at or below
@@ -28,42 +28,52 @@ matrix is a *determinism* gate (multicore cashes the speedup later),
 recorded in ``BENCH_serving.json`` under ``"transports"`` /
 ``"router"`` / ``"transport_matrix"``.
 
+This module also owns what every serving bench and the ``serve``
+subcommand share: :class:`ServingFixture` (the loaded table, the
+registry with tree + NB deployed, the query mix), the one router-worker
+bootstrap and :func:`open_transport`, the one inproc / socketpair / tcp
+/ router switch.  :mod:`repro.load.bench` replays against the same
+fixture open-loop.
+
 ``run_serving_bench`` returns the JSON-ready payload written to
 ``BENCH_serving.json`` by ``python -m repro serve-bench``.
 """
 
 from __future__ import annotations
 
-import hashlib
-import json
+import argparse
 import time
 from collections import deque
+from collections.abc import Iterator
 from concurrent.futures import FIRST_COMPLETED, Future, wait
+from contextlib import closing, contextmanager
 
 import numpy as np
 
 from repro import obs
 from repro.core.optimizer import MiningQuery
-from repro.core.predicates import Comparison, Op
+from repro.core.predicates import TRUE, Comparison, Op
 from repro.core.rewrite import PredictionEquals
+from repro.exceptions import ReproError
+from repro.experiments.benches import count_flag, rows_digest
 from repro.experiments.config import ExperimentConfig
 from repro.experiments.harness import (
     dataset_for,
     numeric_feature_columns,
     train_family,
 )
-from repro.exceptions import ReproError
 from repro.serve.engine import (
     DeployRequest,
     QueryRequest,
     ServeEngine,
+    ServeResult,
 )
 from repro.serve.registry import ModelRegistry
 from repro.serve.router import ProcessRouter
-from repro.serve.service import QueryService, ServeResult
 from repro.serve.transport import (
     LoopbackTransport,
     TCPServer,
+    Transport,
     connect_tcp,
     serve_socketpair,
 )
@@ -86,88 +96,94 @@ def build_queries(
     """Distinct prediction-join queries over the deployed models.
 
     Per ``(model, label)`` pair: the bare prediction join plus variants
-    with a relational range predicate over a numeric feature column, so
-    the schedule's query space is wide enough that collapsing has to earn
-    its hits on genuinely repeated queries, not a degenerate workload.
+    with a relational range predicate (the median of up to two numeric
+    feature columns), so the schedule's query space is wide enough that
+    collapsing has to earn its hits on genuinely repeated queries, not
+    a degenerate workload.
     """
-    cutoffs = _relational_cutoffs(loaded)
+    dataset = loaded.dataset
+    cutoffs = []
+    for column in numeric_feature_columns(dataset)[:2]:
+        values = sorted(row[column] for row in dataset.train_rows)
+        cutoffs.append(Comparison(column, Op.LE, values[len(values) // 2]))
     queries: list[MiningQuery] = []
     for name in registry.deployed_names():
         version = registry.deployed_version(name)
         assert version is not None and version.envelopes is not None
-        table = loaded.table
         for label in sorted(version.envelopes, key=str):
             mining = (PredictionEquals(name, label),)
-            queries.append(MiningQuery(table, mining_predicates=mining))
-            for column, value in cutoffs:
+            for relational in (TRUE, *cutoffs):
                 queries.append(
                     MiningQuery(
-                        table,
-                        relational_predicate=Comparison(
-                            column, Op.LE, value
-                        ),
+                        loaded.table,
+                        relational_predicate=relational,
                         mining_predicates=mining,
                     )
                 )
     return queries
 
 
-def _relational_cutoffs(
-    loaded: "LoadedDataset",
-) -> list[tuple[str, float]]:
-    """Median cutoffs on up to two numeric feature columns."""
-    dataset = loaded.dataset
-    columns = numeric_feature_columns(dataset)[:2]
-    cutoffs = []
-    for column in columns:
-        values = sorted(row[column] for row in dataset.train_rows)
-        cutoffs.append((column, values[len(values) // 2]))
-    return cutoffs
+class ServingFixture:
+    """What every serving bench replays against, built once.
 
-
-def build_schedule(
-    n_queries: int, requests: int, seed: int
-) -> list[int]:
-    """A deterministic hot-skewed request schedule (query indices)."""
-    ranks = np.arange(1, n_queries + 1, dtype=np.float64)
-    weights = ranks**-SKEW
-    weights /= weights.sum()
-    rng = np.random.default_rng(seed)
-    return [int(i) for i in rng.choice(n_queries, size=requests, p=weights)]
-
-
-def _percentile_ms(latencies: list[float], q: float) -> float:
-    return float(np.percentile(np.asarray(latencies), q) * 1000.0)
-
-
-def _latency_summary(latencies: list[float]) -> dict:
-    return {
-        "p50_ms": round(_percentile_ms(latencies, 50), 3),
-        "p95_ms": round(_percentile_ms(latencies, 95), 3),
-        "p99_ms": round(_percentile_ms(latencies, 99), 3),
-    }
-
-
-def rows_digest(results_rows: "list[tuple]") -> str:
-    """A canonical digest of an ordered result-set list.
-
-    Byte-identity across transports and process counts is asserted by
-    digest equality: every configuration's rows serialize to the same
-    canonical JSON (sorted keys, repr-exact floats) or the gate fails.
+    One dataset loaded into its table, a registry with the decision
+    tree and the naive-Bayes model trained and deployed, their wire
+    payloads (what a router broadcasts to its workers), and the
+    distinct queries over them.  ``max_pending`` is the admission bound
+    of every engine the fixture builds; its default is
+    :class:`~repro.serve.engine.ServeEngine`'s own.
     """
-    payload = json.dumps(
-        [[dict(row) for row in rows] for rows in results_rows],
-        sort_keys=True,
-        separators=(",", ":"),
-        default=str,
-    )
-    return hashlib.sha256(payload.encode("utf-8")).hexdigest()
+
+    def __init__(
+        self,
+        config: ExperimentConfig,
+        dataset_name: str | None = None,
+        max_pending: int = 128,
+    ) -> None:
+        self.config = config
+        self.dataset_name = dataset_name or config.datasets[0]
+        self.max_pending = max_pending
+        dataset = dataset_for(config, self.dataset_name)
+        self.loaded = load_dataset(dataset, config.rows_target)
+        self.registry = ModelRegistry(max_nodes=config.max_nodes)
+        self.model_payloads: list[dict] = []
+        self.deploy_seconds = 0.0
+        for family in (FAMILY_DECISION_TREE, FAMILY_NAIVE_BAYES):
+            trained = train_family(dataset, family, config)
+            self.model_payloads.append(trained.model.to_dict())
+            started = time.perf_counter()
+            self.registry.register(trained.model, deploy=True)
+            self.deploy_seconds += time.perf_counter() - started
+        self.queries = build_queries(self.registry, self.loaded)
+
+    def schedule(self, requests: int) -> list[int]:
+        """A deterministic hot-skewed request schedule (query indices)."""
+        ranks = np.arange(1, len(self.queries) + 1, dtype=np.float64)
+        weights = ranks**-SKEW
+        weights /= weights.sum()
+        rng = np.random.default_rng(self.config.seed)
+        draws = rng.choice(len(self.queries), size=requests, p=weights)
+        return [int(index) for index in draws]
+
+    def engine(self, workers: int, **options) -> ServeEngine:
+        """A fresh engine over the fixture's table and registry."""
+        return ServeEngine(
+            self.loaded.db,
+            self.registry,
+            workers=workers,
+            max_pending=self.max_pending,
+            selectivity_gate=self.config.selectivity_gate,
+            **options,
+        )
+
+    def close(self) -> None:
+        self.loaded.db.close()
 
 
-def _router_bootstrap(
+def router_bootstrap(
     config: ExperimentConfig, dataset_name: str, max_pending: int
-):
-    """Build one worker's engine: fresh dataset, empty registry replica.
+) -> ServeEngine:
+    """Build one router worker's engine: fresh dataset, empty registry.
 
     Top-level so the router can ship it to worker processes; the
     dataset rebuild is deterministic (same config, same seed), and
@@ -176,39 +192,75 @@ def _router_bootstrap(
     """
     dataset = dataset_for(config, dataset_name)
     loaded = load_dataset(dataset, config.rows_target)
-    registry = ModelRegistry(max_nodes=config.max_nodes)
     return ServeEngine(
         loaded.db,
-        registry,
+        ModelRegistry(max_nodes=config.max_nodes),
         workers=2,
         max_pending=max_pending,
         selectivity_gate=config.selectivity_gate,
     )
 
 
-def _run_serial(
-    executor: PredictionJoinExecutor,
-    queries: list[MiningQuery],
-    schedule: list[int],
-) -> tuple[list[tuple], float, list[float]]:
-    """Execute the schedule one request at a time; the baseline."""
-    results: list[tuple] = []
-    latencies: list[float] = []
-    started = time.perf_counter()
-    for index in schedule:
-        request_started = time.perf_counter()
-        results.append(executor.execute(queries[index]).rows)
-        latencies.append(time.perf_counter() - request_started)
-    return results, time.perf_counter() - started, latencies
+@contextmanager
+def open_transport(
+    kind: str, fixture: ServingFixture, workers: int, **engine_options
+) -> Iterator[tuple[Transport, ServeEngine | None]]:
+    """``(client, engine)`` for transport ``kind``, warmed; closed on exit.
+
+    ``inproc`` / ``socketpair`` / ``tcp`` front a fresh engine with
+    ``workers`` threads and ``engine_options``.  ``router`` has no
+    engine on this side (``None``): it spawns ``workers`` *processes*
+    from :func:`router_bootstrap` and deploys the fixture's models to
+    every replica.
+    """
+    engine = client = server = None
+    try:
+        if kind == "router":
+            trace_dir = obs.trace_directory()
+            client = ProcessRouter(
+                router_bootstrap,
+                args=(
+                    fixture.config,
+                    fixture.dataset_name,
+                    fixture.max_pending,
+                ),
+                processes=workers,
+                trace_dir=None if trace_dir is None else str(trace_dir),
+            )
+            for payload in fixture.model_payloads:
+                client.control(DeployRequest(model=payload))
+        else:
+            engine = fixture.engine(workers, **engine_options)
+            if kind == "inproc":
+                client = LoopbackTransport(engine)
+            elif kind == "socketpair":
+                client, server = serve_socketpair(engine)
+            elif kind == "tcp":
+                server = TCPServer(engine)
+                client = connect_tcp(*server.address)
+            else:
+                raise ReproError(f"unknown transport {kind!r}")
+        # Plans, statistics and envelope lookups are cached off the
+        # clock, so a timed replay measures serving, not set-up.
+        for query in fixture.queries:
+            client.request(QueryRequest(query))
+        yield client, engine
+    finally:
+        if client is not None:
+            client.close()
+        if server is not None:
+            server.close()
+        if engine is not None:
+            engine.shutdown()
 
 
-def _run_transport(
-    transport,
+def replay_closed_loop(
+    transport: Transport,
     queries: list[MiningQuery],
     schedule: list[int],
     window: int,
 ) -> tuple[list[ServeResult], float]:
-    """Replay the schedule closed-loop through one transport adapter."""
+    """Replay the schedule through ``transport``, ``window`` in flight."""
     requests = [QueryRequest(query) for query in queries]
     ordered: list[Future] = []
     inflight: "deque[Future]" = deque()
@@ -225,6 +277,82 @@ def _run_transport(
     return results, time.perf_counter() - started
 
 
+def _timing(seconds: float, latencies: list[float]) -> dict:
+    milliseconds = np.asarray(latencies) * 1000.0
+    return {
+        "seconds": round(seconds, 4),
+        "throughput_rps": round(len(latencies) / seconds, 2),
+        **{
+            f"p{q}_ms": round(float(np.percentile(milliseconds, q)), 3)
+            for q in (50, 95, 99)
+        },
+    }
+
+
+def _replay_entry(
+    label: str,
+    transport: Transport,
+    fixture: ServingFixture,
+    schedule: list[int],
+    serial: dict,
+) -> dict:
+    """Replay through one configuration; gate on the serial digest."""
+    results, seconds = replay_closed_loop(
+        transport, fixture.queries, schedule, window=fixture.max_pending
+    )
+    digest = rows_digest(result.rows for result in results)
+    if digest != serial["rows_digest"]:
+        raise ReproError(
+            f"serve-bench: {label} results differ from serial execution"
+        )
+    entry = _timing(
+        seconds, [r.queue_seconds + r.execute_seconds for r in results]
+    )
+    return {
+        **entry,
+        "speedup_vs_serial": round(
+            len(schedule) / seconds / serial["throughput"], 3
+        ),
+        "rows_digest": digest,
+        "identical_to_serial": True,
+    }
+
+
+def _engine_entry(
+    fixture: ServingFixture,
+    workers: int,
+    kind: str,
+    schedule: list[int],
+    serial: dict,
+    result_ttl: float | None,
+) -> dict:
+    """One engine behind transport ``kind``; nothing may be dropped."""
+    label = f"{kind} at {workers} workers"
+    with open_transport(
+        kind, fixture, workers, result_ttl=result_ttl
+    ) as (client, engine):
+        entry = _replay_entry(label, client, fixture, schedule, serial)
+        stats = engine.stats.snapshot()
+        batcher = engine.batcher
+        if not engine.shutdown():
+            raise ReproError(f"serve-bench: unclean shutdown, {label}")
+    if stats["shed"] or stats["timeouts"] or stats["errors"]:
+        raise ReproError(
+            "serve-bench: dropped requests below the admission limit, "
+            f"{label}: {stats}"
+        )
+    return {
+        **entry,
+        "collapsed": stats["collapsed"],
+        "completed": stats["completed"],
+        "shed": stats["shed"],
+        "timeouts": stats["timeouts"],
+        "batch_calls": batcher.calls,
+        "batch_requests": batcher.requests,
+        "batch_coalesced": batcher.coalesced,
+    }
+
+
 def run_serving_bench(
     config: ExperimentConfig,
     workers: tuple[int, ...] = (1, 2, 4),
@@ -238,249 +366,187 @@ def run_serving_bench(
     """The full benchmark: deploy, baseline, concurrent runs, verify.
 
     ``transports`` selects which adapters replay the schedule (any of
-    ``inproc`` / ``socketpair`` / ``tcp``); ``processes`` > 0 also runs
-    the multi-process router at 1/2/``processes`` workers.  Every
-    configuration is gated byte-identical to the serial baseline.
-    ``result_ttl`` turns the engine-side result cache on for the
-    service and transport runs — safe for the identity gates, because
-    a cached hit returns the original result object.
+    ``inproc`` / ``socketpair`` / ``tcp``, each in front of its own
+    two-worker engine); ``processes`` > 0 also runs the multi-process
+    router at 1/2/``processes`` workers.  Every configuration is gated
+    byte-identical to the serial baseline.  ``result_ttl`` turns the
+    engine-side result cache on for the worker-ladder and transport
+    runs — safe for the identity gates, because a cached hit returns
+    the original result object.
     """
-    with obs.span("serve.bench", requests=requests):
-        name = dataset_name or config.datasets[0]
-        dataset = dataset_for(config, name)
-        loaded = load_dataset(dataset, config.rows_target)
-        db = loaded.db
-
-        registry = ModelRegistry(max_nodes=config.max_nodes)
-        deploy_seconds = 0.0
-        model_payloads: list[dict] = []
-        for family in (FAMILY_DECISION_TREE, FAMILY_NAIVE_BAYES):
-            trained = train_family(dataset, family, config)
-            model_payloads.append(trained.model.to_dict())
-            deploy_started = time.perf_counter()
-            registry.register(trained.model, deploy=True)
-            deploy_seconds += time.perf_counter() - deploy_started
-
-        queries = build_queries(registry, loaded)
-        schedule = build_schedule(len(queries), requests, config.seed)
+    with obs.span("serve.bench", requests=requests), closing(
+        ServingFixture(config, dataset_name, max_pending)
+    ) as fixture:
+        queries = fixture.queries
+        schedule = fixture.schedule(requests)
 
         # Serial baseline: one executor, one connection, no service.
-        serial_executor = PredictionJoinExecutor(
-            db,
-            registry.catalog,
+        executor = PredictionJoinExecutor(
+            fixture.loaded.db,
+            fixture.registry.catalog,
             selectivity_gate=config.selectivity_gate,
             plan_cache=PlanCache(256),
         )
         for query in queries:  # warm-up: stats + plans, off the clock
-            serial_executor.execute(query)
-        serial_rows, serial_seconds, serial_latencies = _run_serial(
-            serial_executor, queries, schedule
-        )
-        serial_throughput = requests / serial_seconds
+            executor.execute(query)
+        serial_rows: list = []
+        latencies: list[float] = []
+        started = time.perf_counter()
+        for index in schedule:
+            request_started = time.perf_counter()
+            serial_rows.append(executor.execute(queries[index]).rows)
+            latencies.append(time.perf_counter() - request_started)
+        serial_seconds = time.perf_counter() - started
+        serial = {
+            "throughput": requests / serial_seconds,
+            "rows_digest": rows_digest(serial_rows),
+        }
 
-        payload: dict = {
+        runs = [
+            {
+                "workers": count,
+                **_engine_entry(
+                    fixture, count, "inproc", schedule, serial, result_ttl
+                ),
+            }
+            for count in workers
+        ]
+        transport_runs = [
+            {
+                "transport": kind,
+                **_engine_entry(
+                    fixture, 2, kind, schedule, serial, result_ttl
+                ),
+            }
+            for kind in transports
+        ]
+        router_runs = []
+        for count in sorted({1, 2, processes} & set(range(1, processes + 1))):
+            with open_transport("router", fixture, count) as (router, _):
+                entry = _replay_entry(
+                    f"router({count})", router, fixture, schedule, serial
+                )
+            router_runs.append({"processes": count, **entry})
+
+        by_workers = {run["workers"]: run for run in runs}
+        return {
             "benchmark": "serving",
-            "dataset": dataset.name,
-            "rows": loaded.rows_total,
-            "models": registry.deployed_names(),
+            "dataset": fixture.loaded.dataset.name,
+            "rows": fixture.loaded.rows_total,
+            "models": fixture.registry.deployed_names(),
             "distinct_queries": len(queries),
             "requests": requests,
             "max_pending": max_pending,
             "skew": SKEW,
-            "deploy_seconds": round(deploy_seconds, 4),
+            "deploy_seconds": round(fixture.deploy_seconds, 4),
             "serial": {
-                "seconds": round(serial_seconds, 4),
-                "throughput_rps": round(serial_throughput, 2),
-                **_latency_summary(serial_latencies),
+                **_timing(serial_seconds, latencies),
+                "rows_digest": serial["rows_digest"],
             },
-            "runs": [],
+            "runs": runs,
+            "best_speedup_vs_serial": max(
+                run["speedup_vs_serial"] for run in runs
+            ),
+            # Always present: the report's shape must not depend on
+            # which worker counts were run.
+            "speedup_at_4_workers": by_workers.get(4, {}).get(
+                "speedup_vs_serial"
+            ),
+            "transports": transport_runs,
+            "router": router_runs,
+            "transport_matrix": {
+                **{kind: True for kind in transports},
+                **{f"router-{run['processes']}": True for run in router_runs},
+            },
         }
 
-        for worker_count in workers:
-            service = QueryService(
-                db,
-                registry,
-                workers=worker_count,
-                max_pending=max_pending,
-                selectivity_gate=config.selectivity_gate,
-                result_ttl=result_ttl,
-            )
-            try:
-                for query in queries:  # warm-up this service's caches
-                    service.execute(query)
-                results, seconds = _run_transport(
-                    LoopbackTransport(service.engine),
-                    queries,
-                    schedule,
-                    window=max_pending,
-                )
-                stats = service.stats.snapshot()
-                batcher = service.batcher
-            finally:
-                clean = service.shutdown()
-            if not clean:
-                raise ReproError(
-                    f"serve-bench: unclean shutdown at {worker_count} workers"
-                )
-            mismatches = sum(
-                1
-                for result, expected in zip(results, serial_rows)
-                if result.rows != expected
-            )
-            if mismatches:
-                raise ReproError(
-                    f"serve-bench: {mismatches} results differ from serial "
-                    f"execution at {worker_count} workers"
-                )
-            if stats["shed"] or stats["timeouts"] or stats["errors"]:
-                raise ReproError(
-                    "serve-bench: dropped requests below the admission "
-                    f"limit at {worker_count} workers: {stats}"
-                )
-            latencies = [
-                r.queue_seconds + r.execute_seconds for r in results
-            ]
-            throughput = requests / seconds
-            payload["runs"].append(
-                {
-                    "workers": worker_count,
-                    "seconds": round(seconds, 4),
-                    "throughput_rps": round(throughput, 2),
-                    "speedup_vs_serial": round(
-                        throughput / serial_throughput, 3
-                    ),
-                    **_latency_summary(latencies),
-                    "collapsed": stats["collapsed"],
-                    "completed": stats["completed"],
-                    "shed": stats["shed"],
-                    "timeouts": stats["timeouts"],
-                    "batch_calls": batcher.calls,
-                    "batch_requests": batcher.requests,
-                    "batch_coalesced": batcher.coalesced,
-                    "identical_to_serial": True,
-                }
-            )
 
-        by_workers = {run["workers"]: run for run in payload["runs"]}
-        best = max(run["speedup_vs_serial"] for run in payload["runs"])
-        payload["best_speedup_vs_serial"] = best
-        if 4 in by_workers:
-            payload["speedup_at_4_workers"] = by_workers[4][
-                "speedup_vs_serial"
-            ]
+def add_engine_arguments(
+    parser: argparse.ArgumentParser,
+    workers_help: str = "engine worker threads",
+) -> None:
+    """``--workers`` / ``--result-ttl``: what every served command reads."""
+    count_flag(parser, "--workers", 1, 4, workers_help)
+    parser.add_argument(
+        "--result-ttl",
+        type=float,
+        default=None,
+        metavar="SECONDS",
+        help="cache identical results for this long (default: off)",
+    )
 
-        serial_digest = rows_digest(serial_rows)
-        payload["serial"]["rows_digest"] = serial_digest
-        matrix: dict[str, bool] = {}
 
-        payload["transports"] = []
-        if transports:
-            engine = ServeEngine(
-                db,
-                registry,
-                workers=2,
-                max_pending=max_pending,
-                selectivity_gate=config.selectivity_gate,
-                result_ttl=result_ttl,
-            )
-            try:
-                for query in queries:  # warm the shared engine once
-                    engine.execute(QueryRequest(query))
-                for transport_name in transports:
-                    server = None
-                    if transport_name == "inproc":
-                        client = LoopbackTransport(engine)
-                    elif transport_name == "socketpair":
-                        client, server = serve_socketpair(engine)
-                    elif transport_name == "tcp":
-                        server = TCPServer(engine)
-                        client = connect_tcp(*server.address)
-                    else:
-                        raise ReproError(
-                            f"serve-bench: unknown transport "
-                            f"{transport_name!r}"
-                        )
-                    try:
-                        results, seconds = _run_transport(
-                            client, queries, schedule, window=max_pending
-                        )
-                    finally:
-                        client.close()
-                        if server is not None:
-                            server.close()
-                    digest = rows_digest([r.rows for r in results])
-                    if digest != serial_digest:
-                        raise ReproError(
-                            "serve-bench: transport "
-                            f"{transport_name!r} results differ from "
-                            "serial execution"
-                        )
-                    matrix[transport_name] = True
-                    latencies = [
-                        r.queue_seconds + r.execute_seconds
-                        for r in results
-                    ]
-                    payload["transports"].append(
-                        {
-                            "transport": transport_name,
-                            "seconds": round(seconds, 4),
-                            "throughput_rps": round(
-                                requests / seconds, 2
-                            ),
-                            **_latency_summary(latencies),
-                            "rows_digest": digest,
-                            "identical_to_serial": True,
-                        }
-                    )
-            finally:
-                engine.shutdown()
+def add_arguments(parser: argparse.ArgumentParser) -> None:
+    add_engine_arguments(
+        parser, "largest engine worker count of the 1/2/N ladder"
+    )
+    count_flag(parser, "--requests", 1, 400, "requests per run")
+    parser.add_argument(
+        "--transport",
+        choices=("inproc", "socketpair", "tcp", "all"),
+        default="all",
+        help="which transport adapters to replay the schedule through "
+        "(default: all)",
+    )
+    count_flag(
+        parser,
+        "--processes",
+        0,
+        0,
+        "also run the multi-process router at 1/2/N worker processes; "
+        "0 skips it",
+    )
 
-        payload["router"] = []
-        if processes > 0:
-            process_counts = tuple(
-                sorted({1, 2, processes} & set(range(1, processes + 1)))
-            )
-            trace_dir = obs.trace_directory()
-            for process_count in process_counts:
-                router = ProcessRouter(
-                    _router_bootstrap,
-                    args=(config, name, max_pending),
-                    processes=process_count,
-                    trace_dir=None
-                    if trace_dir is None
-                    else str(trace_dir),
-                )
-                try:
-                    for model_payload in model_payloads:
-                        router.control(DeployRequest(model=model_payload))
-                    for query in queries:  # warm every worker's caches
-                        router.request(QueryRequest(query))
-                    results, seconds = _run_transport(
-                        router, queries, schedule, window=max_pending
-                    )
-                finally:
-                    router.close()
-                digest = rows_digest([r.rows for r in results])
-                if digest != serial_digest:
-                    raise ReproError(
-                        f"serve-bench: router({process_count}) results "
-                        "differ from serial execution"
-                    )
-                matrix[f"router-{process_count}"] = True
-                latencies = [
-                    r.queue_seconds + r.execute_seconds for r in results
-                ]
-                payload["router"].append(
-                    {
-                        "processes": process_count,
-                        "seconds": round(seconds, 4),
-                        "throughput_rps": round(requests / seconds, 2),
-                        **_latency_summary(latencies),
-                        "rows_digest": digest,
-                        "identical_to_serial": True,
-                    }
-                )
 
-        payload["transport_matrix"] = matrix
-        db.close()
-        return payload
+def run(config: ExperimentConfig, args: argparse.Namespace) -> dict:
+    return run_serving_bench(
+        config,
+        workers=tuple(
+            sorted(w for w in {1, 2, args.workers} if w <= args.workers)
+        ),
+        requests=args.requests,
+        transports=(
+            ("inproc", "socketpair", "tcp")
+            if args.transport == "all"
+            else (args.transport,)
+        ),
+        processes=args.processes,
+        result_ttl=args.result_ttl,
+    )
+
+
+def summary(report: dict) -> list[str]:
+    def rate(entry: dict) -> str:
+        return (
+            f"{entry['seconds']:.2f}s "
+            f"({entry['throughput_rps']:.1f} req/s, "
+            f"speedup {entry['speedup_vs_serial']:.2f}x, "
+            f"identical: {entry['identical_to_serial']})"
+        )
+
+    serial = report["serial"]
+    lines = [
+        f"serial: {serial['seconds']:.2f}s "
+        f"({serial['throughput_rps']:.1f} req/s, "
+        f"p50 {serial['p50_ms']:.1f}ms)"
+    ]
+    for entry in report["runs"]:
+        lines.append(
+            f"workers={entry['workers']}: {rate(entry)}, "
+            f"collapsed {entry['collapsed']}, "
+            f"coalesced {entry['batch_coalesced']}"
+        )
+    lines.append(
+        f"best speedup vs serial: {report['best_speedup_vs_serial']:.2f}x"
+    )
+    for entry in report["transports"]:
+        lines.append(f"transport={entry['transport']}: {rate(entry)}")
+    for entry in report["router"]:
+        lines.append(f"router processes={entry['processes']}: {rate(entry)}")
+    if report["transport_matrix"]:
+        lines.append(
+            "transport matrix byte-identical: "
+            f"{all(report['transport_matrix'].values())} "
+            f"({', '.join(sorted(report['transport_matrix']))})"
+        )
+    return lines

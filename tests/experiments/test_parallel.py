@@ -205,17 +205,10 @@ class TestPerTaskTracing:
 
 
 class TestBenchmarkEmitter:
-    def test_report_shape_and_invariant(self, tmp_path):
-        import json
-
+    def test_report_shape_and_invariant(self):
         from repro.experiments.parallel import benchmark_parallel_sweep
 
-        target = tmp_path / "BENCH_parallel_sweep.json"
-        report = benchmark_parallel_sweep(
-            TINY, jobs=(1, 2), path=target, scale="tiny"
-        )
-        assert target.exists()
-        assert json.loads(target.read_text()) == report
+        report = benchmark_parallel_sweep(TINY, jobs=(1, 2), scale="tiny")
         assert report["identical_measurements"] is True
         assert report["tasks"] == 4
         assert [run["jobs"] for run in report["runs"]] == [1, 2]

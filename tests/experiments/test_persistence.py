@@ -225,39 +225,51 @@ class TestAtomicWrites:
         assert leftovers == []
 
 
-class TestLegacyMigration:
-    def _write_legacy(self, tmp_path, measurements) -> None:
+class TestStrayLegacyFile:
+    def test_format2_file_is_ignored_and_the_sweep_recomputes(
+        self, tmp_path, monkeypatch
+    ):
+        """The cache is regenerable: a pre-sharding monolithic file is
+        a miss (never migrated), and the harness runs the sweep."""
         from dataclasses import asdict
 
-        payload = {
-            "format": 2,
-            "measurements": [
-                {**asdict(m), "access_path": m.access_path.value}
-                for m in measurements
-            ],
-        }
-        legacy = (
-            tmp_path / f"sweep_{config_fingerprint(CONFIG, fmt=2)}.json"
-        )
-        legacy.write_text(json.dumps(payload))
+        from repro.experiments import harness
 
-    def test_format2_file_migrates_to_shards(self, tmp_path):
-        measurements = full_sweep(CONFIG)
-        self._write_legacy(tmp_path, measurements)
-        assert load_sweep(CONFIG, cache_dir=tmp_path) == measurements
-        # Migration materialized per-task shards.
-        for dataset in CONFIG.datasets:
-            for family in CONFIG.families:
-                assert (
-                    load_task(CONFIG, dataset, family, cache_dir=tmp_path)
-                    is not None
-                )
-
-    def test_incomplete_legacy_file_is_a_miss(self, tmp_path):
-        # Only one of the two tasks present: never migrate half a sweep.
-        self._write_legacy(tmp_path, [make_measurement()])
-        assert load_sweep(CONFIG, cache_dir=tmp_path) is None
-        assert (
-            load_task(CONFIG, "diabetes", "naive_bayes", cache_dir=tmp_path)
-            is None
+        tiny = ExperimentConfig(
+            rows_target=2_000,
+            train_cap=200,
+            max_nodes=100,
+            tree_max_depth=6,
+            repeats=1,
+            datasets=("diabetes",),
+            families=("decision_tree",),
         )
+        stray = tmp_path / f"sweep_{config_fingerprint(tiny)}.json"
+        stray.write_text(
+            json.dumps(
+                {
+                    "format": 2,
+                    "measurements": [
+                        {**asdict(m), "access_path": m.access_path.value}
+                        for m in [make_measurement()]
+                    ],
+                }
+            )
+        )
+        before = stray.read_text()
+        assert load_sweep(tiny, cache_dir=tmp_path) is None
+        assert not task_path(
+            tiny, "diabetes", "decision_tree", cache_dir=tmp_path
+        ).exists()
+
+        monkeypatch.setenv("REPRO_SWEEP_CACHE", "on")
+        monkeypatch.setenv("REPRO_SWEEP_CACHE_DIR", str(tmp_path))
+        harness.clear_caches()
+        try:
+            measurements = harness.run_all(tiny, jobs=1)
+        finally:
+            harness.clear_caches()
+        assert measurements
+        assert all(m.model_name != "m" for m in measurements)
+        assert load_sweep(tiny, cache_dir=tmp_path) == measurements
+        assert stray.read_text() == before

@@ -1,11 +1,37 @@
 """Integration tests for the ``python -m repro`` command line."""
 
 import json
+import re
+import shlex
+from pathlib import Path
 
 import pytest
 
+import repro.__main__ as cli
 from repro import obs
-from repro.__main__ import main
+from repro.__main__ import COMMANDS, build_parser, main
+from repro.experiments.benches import BENCHES
+
+REPO_ROOT = Path(__file__).resolve().parents[1]
+
+#: Flags of the shared parent parser (plus argparse's own --help).
+SHARED_FLAGS = {"--help", "--scale", "--jobs", "--trace"}
+
+#: Every other flag, under the one subcommand (or few) that reads it.
+ENGINE_FLAGS = {"--workers", "--result-ttl"}
+OWN_FLAGS = {
+    **{name: set() for name in (*COMMANDS, *BENCHES)},
+    "trace-report": {"--strict"},
+    "serve": ENGINE_FLAGS | {"--host", "--port", "--duration"},
+    "bench-vectorized": {"--batch-size"},
+    "serve-bench": ENGINE_FLAGS
+    | {"--requests", "--transport", "--processes"},
+    "load-bench": ENGINE_FLAGS
+    | {"--requests", "--transport", "--arrivals", "--rate", "--deadline"},
+    "segment-bench": {"--segments", "--rows"},
+    "disjunction-bench": {"--rows"},
+    "calibration-bench": {"--passes"},
+}
 
 
 @pytest.fixture
@@ -59,6 +85,83 @@ class TestCLI:
         assert main(["sweep", "--scale", "smoke"]) == 0
         output = capsys.readouterr().out
         assert "measurements across" in output
+
+
+def _ci_command_lines() -> list[str]:
+    """Every ``python -m repro`` argument string ci.yml runs."""
+    found = []
+    for line in (
+        (REPO_ROOT / ".github/workflows/ci.yml").read_text().splitlines()
+    ):
+        line = line.strip()
+        if line.startswith("bench: "):  # a row of the smoke matrix
+            found.append(line[len("bench: ") :] + " --trace traces")
+        elif "python -m repro " in line and "${{" not in line:
+            found.append(line.split("python -m repro ", 1)[1])
+    return found
+
+
+class TestSubcommands:
+    @pytest.mark.parametrize("command", sorted(OWN_FLAGS))
+    def test_help_lists_only_that_commands_flags(self, command, capsys):
+        with pytest.raises(SystemExit) as exit_info:
+            main([command, "--help"])
+        assert exit_info.value.code == 0
+        text = capsys.readouterr().out
+        flags = set(re.findall(r"(?<![\w-])--[a-z][a-z-]*", text))
+        assert flags == SHARED_FLAGS | OWN_FLAGS[command]
+        # No flag needs a "serve-bench:"-style prefix to say whose it is.
+        for name in OWN_FLAGS:
+            assert f"{name}:" not in text
+
+    def test_flag_set_is_the_nineteen_of_the_flat_parser(self):
+        everything = set().union(SHARED_FLAGS, *OWN_FLAGS.values())
+        assert len(everything - {"--help"}) == 19
+
+    def test_every_command_is_in_the_docstring_and_readme(self):
+        readme = (REPO_ROOT / "README.md").read_text()
+        for name in OWN_FLAGS:
+            assert re.search(rf"^    {name}\b", cli.__doc__, re.MULTILINE)
+            assert f"python -m repro {name}" in readme
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            "tables --segments 5",  # a flag of another subcommand
+            "serve-bench --workers 0",
+            "serve-bench --requests 0",
+            "serve-bench --processes -1",
+            "serve-bench --transport router",
+            "load-bench --workers 0",
+            "load-bench --requests 0",
+            "load-bench --rate 0",
+            "load-bench --deadline 0",
+            "calibration-bench --passes 1",
+            "bench-vectorized --batch-size 0",
+            "segment-bench --segments 0",
+            "segment-bench --rows 0",
+            "disjunction-bench --rows 0",
+            "serve --duration 0",
+            "tables --jobs -1",
+        ],
+    )
+    def test_usage_errors_exit_2(self, argv, capsys):
+        with pytest.raises(SystemExit) as exit_info:
+            main(argv.split())
+        assert exit_info.value.code == 2
+        assert "error:" in capsys.readouterr().err
+
+    def test_every_ci_command_line_parses(self):
+        lines = _ci_command_lines()
+        # tier1's four (bench-vectorized, run, sweep, trace-report), the
+        # six matrix rows, and the matrix job's own trace-report.
+        assert len(lines) == 11
+        assert {shlex.split(line)[0] for line in lines} >= set(BENCHES) - {
+            "bench-parallel"
+        }
+        parser = build_parser()
+        for line in lines:
+            parser.parse_args(shlex.split(line))
 
 
 class TestTraceCLI:
