@@ -22,7 +22,6 @@ The benches, each writing one ``BENCH_*.json`` stamped with the
 environment it ran in (table: :data:`repro.experiments.benches.BENCHES`)::
 
     bench-parallel      serial-vs-parallel sweep          (uses --jobs)
-    bench-vectorized    scalar-vs-vectorized scoring      [--batch-size N]
     serve-bench         closed-loop serving, transports, router
                         [--workers N --requests N --transport K
                          --processes N --result-ttl S]

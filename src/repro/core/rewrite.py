@@ -42,25 +42,8 @@ from repro.core.predicates import (
 from repro.exceptions import RewriteError
 from repro.mining.base import Row
 
-#: Per-row prediction memo: model name -> predicted label for that row.
-RowPredictionCache = MutableMapping[str, Value]
 #: Per-batch prediction memo: model name -> object array of predictions.
 BatchPredictionCache = MutableMapping[str, np.ndarray]
-
-
-def _row_prediction(
-    model_name: str,
-    row: Row,
-    catalog: ModelCatalog,
-    cache: RowPredictionCache,
-) -> Value:
-    """The model's prediction for ``row``, computed at most once."""
-    if model_name not in cache:
-        obs.add_counter("prediction.row_memo.miss")
-        cache[model_name] = catalog.model(model_name).predict(row)
-    else:
-        obs.add_counter("prediction.row_memo.hit")
-    return cache[model_name]
 
 
 def _batch_predictions(
@@ -90,22 +73,6 @@ class MiningPredicate:
     def evaluate(self, row: Row, catalog: ModelCatalog) -> bool:
         """Reference semantics: apply the model(s) to the row."""
         raise NotImplementedError
-
-    def evaluate_cached(
-        self,
-        row: Row,
-        catalog: ModelCatalog,
-        cache: RowPredictionCache,
-    ) -> bool:
-        """:meth:`evaluate` with per-row prediction memoization.
-
-        ``cache`` maps model name to that model's prediction for this row;
-        a query with several mining predicates on the same model shares one
-        cache per row so the model runs once.  The base implementation
-        ignores the cache (exotic subclasses stay correct); the built-in
-        forms all route their predictions through it.
-        """
-        return self.evaluate(row, catalog)
 
     def evaluate_batch(
         self,
@@ -153,17 +120,6 @@ class PredictionEquals(MiningPredicate):
     def evaluate(self, row: Row, catalog: ModelCatalog) -> bool:
         return catalog.model(self.model_name).predict(row) == self.label
 
-    def evaluate_cached(
-        self,
-        row: Row,
-        catalog: ModelCatalog,
-        cache: RowPredictionCache,
-    ) -> bool:
-        return (
-            _row_prediction(self.model_name, row, catalog, cache)
-            == self.label
-        )
-
     def evaluate_batch(
         self,
         batch: ColumnBatch,
@@ -208,17 +164,6 @@ class PredictionIn(MiningPredicate):
 
     def evaluate(self, row: Row, catalog: ModelCatalog) -> bool:
         return catalog.model(self.model_name).predict(row) in self.labels
-
-    def evaluate_cached(
-        self,
-        row: Row,
-        catalog: ModelCatalog,
-        cache: RowPredictionCache,
-    ) -> bool:
-        return (
-            _row_prediction(self.model_name, row, catalog, cache)
-            in self.labels
-        )
 
     def evaluate_batch(
         self,
@@ -265,16 +210,6 @@ class PredictionJoinPrediction(MiningPredicate):
         return catalog.model(self.model_a).predict(row) == catalog.model(
             self.model_b
         ).predict(row)
-
-    def evaluate_cached(
-        self,
-        row: Row,
-        catalog: ModelCatalog,
-        cache: RowPredictionCache,
-    ) -> bool:
-        return _row_prediction(
-            self.model_a, row, catalog, cache
-        ) == _row_prediction(self.model_b, row, catalog, cache)
 
     def evaluate_batch(
         self,
@@ -326,17 +261,6 @@ class PredictionJoinColumn(MiningPredicate):
 
     def evaluate(self, row: Row, catalog: ModelCatalog) -> bool:
         return catalog.model(self.model_name).predict(row) == row[self.column]
-
-    def evaluate_cached(
-        self,
-        row: Row,
-        catalog: ModelCatalog,
-        cache: RowPredictionCache,
-    ) -> bool:
-        return (
-            _row_prediction(self.model_name, row, catalog, cache)
-            == row[self.column]
-        )
 
     def evaluate_batch(
         self,

@@ -8,12 +8,13 @@ atoms recur across disjuncts — exactly the sharing the
 :class:`~repro.ir.batch.BatchLowering` cache exploits by lowering each
 distinct atom once per batch at full width.
 
-The **naive** baseline is the pre-cache strategy preserved as
-``evaluate_batch_naive``: per-visit operand sorting and ``take``
-compaction, re-lowering every atom occurrence.  **cached** runs the
-same predicates through ``evaluate_batch``.  Both paths' masks are
-compared byte-for-byte on every batch — the speedup is only reported
-if the answers are identical.
+The **naive** baseline is the pre-cache strategy preserved here as
+:class:`NaiveBatchLowering` / :func:`evaluate_batch_naive` (the oracle
+lives beside its only caller, not in the product): per-visit operand
+sorting and ``take`` compaction, re-lowering every atom occurrence.
+**cached** runs the same predicates through ``evaluate_batch``.  Both
+paths' masks are compared byte-for-byte on every batch — the speedup
+is only reported if the answers are identical.
 
 The payload also records the UNION-of-index-range SQL lowering on a
 demonstration table where SQLite's own multi-index OR declines: a
@@ -30,6 +31,7 @@ from __future__ import annotations
 
 import argparse
 import time
+from collections.abc import Iterable
 from itertools import islice
 
 import numpy as np
@@ -39,9 +41,15 @@ from repro.core.columns import ColumnBatch
 from repro.core.predicates import (
     And,
     Comparison,
+    FalsePredicate,
+    InSet,
+    Interval,
+    Not,
     Op,
     Or,
     Predicate,
+    SelectivityEstimator,
+    TruePredicate,
     atom_count,
     disjunct_count,
 )
@@ -56,10 +64,14 @@ from repro.experiments.harness import (
 from repro.ir import intern
 from repro.ir.batch import (
     BatchLowering,
+    _comparison_mask,
+    _has_override,
+    _in_set_mask,
+    _interval_mask,
     evaluate_batch,
-    evaluate_batch_naive,
     reset_plan_memo,
 )
+from repro.ir.visitor import PredicateVisitor
 from repro.sql.compiler import select_statement
 from repro.sql.database import Database, load_table
 from repro.sql.planner import capture_plan, capture_select_plan
@@ -76,6 +88,157 @@ from repro.workload.measurement import (
 DEMO_SEGMENTS = 4
 #: Rows loaded into the demo table (dataset rows cycled).
 DEMO_ROWS = 20_000
+
+
+# ---------------------------------------------------------------------------
+# Naive reference lowering (the pre-cache clause-by-clause strategy)
+# ---------------------------------------------------------------------------
+
+
+class NaiveBatchLowering(PredicateVisitor):
+    """The previous short-circuit compaction strategy, kept as an oracle.
+
+    Stateless — per-call context (batch, estimator) passes through the
+    visitor's ``*args``.  Every connective re-sorts its operands per
+    visit and re-evaluates every atom in every disjunct it appears in;
+    the disjunction bench verifies the caching context byte-identical
+    against this path and measures its speedup.
+    """
+
+    __slots__ = ()
+
+    def _operand(
+        self,
+        operand: Predicate,
+        batch: "ColumnBatch",
+        estimator: SelectivityEstimator | None,
+    ) -> np.ndarray:
+        if _has_override(operand):
+            return operand.evaluate_batch(batch, estimator)
+        return self.visit(operand, batch, estimator)
+
+    def visit_true(
+        self,
+        pred: TruePredicate,
+        batch: "ColumnBatch",
+        estimator: SelectivityEstimator | None,
+    ) -> np.ndarray:
+        return np.ones(len(batch), dtype=bool)
+
+    def visit_false(
+        self,
+        pred: FalsePredicate,
+        batch: "ColumnBatch",
+        estimator: SelectivityEstimator | None,
+    ) -> np.ndarray:
+        return np.zeros(len(batch), dtype=bool)
+
+    def visit_comparison(
+        self,
+        pred: Comparison,
+        batch: "ColumnBatch",
+        estimator: SelectivityEstimator | None,
+    ) -> np.ndarray:
+        return _comparison_mask(pred, batch)
+
+    def visit_in_set(
+        self,
+        pred: InSet,
+        batch: "ColumnBatch",
+        estimator: SelectivityEstimator | None,
+    ) -> np.ndarray:
+        return _in_set_mask(pred, batch)
+
+    def visit_interval(
+        self,
+        pred: Interval,
+        batch: "ColumnBatch",
+        estimator: SelectivityEstimator | None,
+    ) -> np.ndarray:
+        return _interval_mask(pred, batch)
+
+    def visit_and(
+        self,
+        pred: And,
+        batch: "ColumnBatch",
+        estimator: SelectivityEstimator | None,
+    ) -> np.ndarray:
+        n = len(batch)
+        if n == 0:
+            return np.zeros(0, dtype=bool)
+        operands: Iterable[Predicate] = pred.operands
+        if estimator is not None:
+            # Most-selective conjunct first: it eliminates the most rows,
+            # so later (possibly expensive) conjuncts see the smallest
+            # surviving batch.
+            operands = sorted(pred.operands, key=estimator)
+        alive: np.ndarray | None = None
+        current = batch
+        for operand in operands:
+            mask = self._operand(operand, current, estimator)
+            if mask.all():
+                continue
+            keep = np.flatnonzero(mask)
+            alive = keep if alive is None else alive[keep]
+            if keep.size == 0:
+                break
+            current = current.take(keep)
+        if alive is None:
+            return np.ones(n, dtype=bool)
+        out = np.zeros(n, dtype=bool)
+        out[alive] = True
+        return out
+
+    def visit_or(
+        self,
+        pred: Or,
+        batch: "ColumnBatch",
+        estimator: SelectivityEstimator | None,
+    ) -> np.ndarray:
+        n = len(batch)
+        if n == 0:
+            return np.zeros(0, dtype=bool)
+        operands: Iterable[Predicate] = pred.operands
+        if estimator is not None:
+            # Most-admitting disjunct first: it settles the most rows to
+            # TRUE, so later disjuncts run on the fewest undecided rows.
+            operands = sorted(pred.operands, key=estimator, reverse=True)
+        out = np.zeros(n, dtype=bool)
+        pending: np.ndarray | None = None
+        current = batch
+        for operand in operands:
+            mask = self._operand(operand, current, estimator)
+            if pending is None:
+                out |= mask
+                pending = np.flatnonzero(~mask)
+            else:
+                out[pending[mask]] = True
+                pending = pending[~mask]
+            if pending.size == 0:
+                break
+            current = batch.take(pending)
+        return out
+
+    def visit_not(
+        self,
+        pred: Not,
+        batch: "ColumnBatch",
+        estimator: SelectivityEstimator | None,
+    ) -> np.ndarray:
+        return ~self._operand(pred.operand, batch, estimator)
+
+
+#: Shared stateless reference instance behind :func:`evaluate_batch_naive`.
+_NAIVE = NaiveBatchLowering()
+
+
+def evaluate_batch_naive(
+    pred: Predicate,
+    batch: "ColumnBatch",
+    estimator: SelectivityEstimator | None = None,
+) -> np.ndarray:
+    """Reference clause-by-clause evaluation (no mask cache, no plan memo)."""
+    return _NAIVE.visit(pred, batch, estimator)
 
 
 def widest_envelopes(

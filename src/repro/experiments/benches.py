@@ -51,9 +51,6 @@ BENCHES: dict[str, Bench] = {
     "bench-parallel": Bench(
         "repro.experiments.parallel", "BENCH_parallel_sweep.json"
     ),
-    "bench-vectorized": Bench(
-        "repro.experiments.bench_vectorized", "BENCH_vectorized_scoring.json"
-    ),
     "serve-bench": Bench("repro.serve.bench", "BENCH_serving.json"),
     "load-bench": Bench("repro.load.bench", "BENCH_load.json"),
     "segment-bench": Bench(

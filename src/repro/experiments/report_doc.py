@@ -275,14 +275,13 @@ def render_experiments_md(config: ExperimentConfig = DEFAULT_CONFIG) -> str:
     sections.append(
         "## Execution knobs\n\n"
         "- **Vectorized residual scoring** "
-        "(`PredictionJoinExecutor(vectorized=..., batch_size=...)`): the "
-        "residual model filter scores fetched rows in columnar batches "
-        "(default 2048 rows) through each family's `predict_batch`; "
-        "`vectorized=False` restores the scalar row-at-a-time path. Both "
-        "paths return byte-identical rows — `python -m repro "
-        "bench-vectorized` (optionally `--batch-size N`) measures the "
-        "speedup per model family and asserts the identity into "
-        "`BENCH_vectorized_scoring.json`.\n"
+        "(`PredictionJoinExecutor(batch_size=...)`): the residual model "
+        "filter scores fetched rows in columnar batches (default 2048 "
+        "rows) through each family's `predict_batch`. Its rows are those "
+        "of the reference semantics (`MiningQuery.evaluate`, one scalar "
+        "`predict` per row), which the executor tests enforce; the scalar "
+        "executor path it replaced measured 5.12x slower overall "
+        "(DESIGN.md, \"Settled forks\").\n"
         "- **Parallel sweep** (`--jobs`/`REPRO_JOBS`): shards the "
         "measurement grid across worker processes; `python -m repro "
         "bench-parallel` records serial-vs-parallel timings and that "
@@ -319,10 +318,10 @@ def render_experiments_md(config: ExperimentConfig = DEFAULT_CONFIG) -> str:
         "overload). Capacity is *measured* by a closed-loop probe at the "
         "configured worker count, not modelled from a serial one; the "
         "deadline and rates derive from it. Same-seed schedules must "
-        "replay float-identically with byte-identical rows, then static "
-        "vs AIMD-adaptive admission are compared under 3x-capacity "
-        "overload on the same schedule: adaptive must win goodput and "
-        "p99 and shed at admission where static times out in queue.\n"
+        "replay float-identically with byte-identical rows, then the "
+        "admission controller (AIMD limit, deadline-aware shed) faces "
+        "3x-capacity overload and must refuse work at admission rather "
+        "than let it time out in queue.\n"
         "- **Tracing** (`--trace DIR`/`REPRO_TRACE_DIR`): every "
         "derivation/optimization/execution phase is traced to JSON-lines "
         "files (one per process; sweep workers write per-task shards). "

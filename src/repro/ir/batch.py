@@ -38,11 +38,6 @@ cached full-width evaluation raises :class:`~repro.exceptions.\
 PredicateError`, the connective falls back to evaluating that operand on
 the still-undecided rows only — precisely the rows the scalar loop
 evaluates — so the call raises if and only if the scalar loop raises.
-
-:class:`NaiveBatchLowering` keeps the previous clause-by-clause
-strategy (per-visit sorting, compaction everywhere, no mask sharing) as
-the reference oracle the disjunction bench verifies byte-identity and
-measures speedup against.
 """
 
 from __future__ import annotations
@@ -71,8 +66,6 @@ from repro.exceptions import PredicateError
 from repro.ir.visitor import PredicateVisitor
 
 if TYPE_CHECKING:
-    from collections.abc import Iterable
-
     from repro.core.columns import ColumnBatch
 
 
@@ -155,7 +148,8 @@ def _ordered_column(
 
 
 # ---------------------------------------------------------------------------
-# Atom kernels (shared by the caching context and the naive reference path)
+# Atom kernels (shared by the caching context and the disjunction bench's
+# clause-by-clause oracle)
 # ---------------------------------------------------------------------------
 
 
@@ -499,148 +493,6 @@ class BatchLowering(PredicateVisitor):
         return ~self.mask(operand)
 
 
-# ---------------------------------------------------------------------------
-# Naive reference lowering (the pre-cache clause-by-clause strategy)
-# ---------------------------------------------------------------------------
-
-
-class NaiveBatchLowering(PredicateVisitor):
-    """The previous short-circuit compaction strategy, kept as an oracle.
-
-    Stateless — per-call context (batch, estimator) passes through the
-    visitor's ``*args``.  Every connective re-sorts its operands per
-    visit and re-evaluates every atom in every disjunct it appears in;
-    the disjunction bench verifies the caching context byte-identical
-    against this path and measures its speedup.
-    """
-
-    __slots__ = ()
-
-    def _operand(
-        self,
-        operand: Predicate,
-        batch: "ColumnBatch",
-        estimator: SelectivityEstimator | None,
-    ) -> np.ndarray:
-        if _has_override(operand):
-            return operand.evaluate_batch(batch, estimator)
-        return self.visit(operand, batch, estimator)
-
-    def visit_true(
-        self,
-        pred: TruePredicate,
-        batch: "ColumnBatch",
-        estimator: SelectivityEstimator | None,
-    ) -> np.ndarray:
-        return np.ones(len(batch), dtype=bool)
-
-    def visit_false(
-        self,
-        pred: FalsePredicate,
-        batch: "ColumnBatch",
-        estimator: SelectivityEstimator | None,
-    ) -> np.ndarray:
-        return np.zeros(len(batch), dtype=bool)
-
-    def visit_comparison(
-        self,
-        pred: Comparison,
-        batch: "ColumnBatch",
-        estimator: SelectivityEstimator | None,
-    ) -> np.ndarray:
-        return _comparison_mask(pred, batch)
-
-    def visit_in_set(
-        self,
-        pred: InSet,
-        batch: "ColumnBatch",
-        estimator: SelectivityEstimator | None,
-    ) -> np.ndarray:
-        return _in_set_mask(pred, batch)
-
-    def visit_interval(
-        self,
-        pred: Interval,
-        batch: "ColumnBatch",
-        estimator: SelectivityEstimator | None,
-    ) -> np.ndarray:
-        return _interval_mask(pred, batch)
-
-    def visit_and(
-        self,
-        pred: And,
-        batch: "ColumnBatch",
-        estimator: SelectivityEstimator | None,
-    ) -> np.ndarray:
-        n = len(batch)
-        if n == 0:
-            return np.zeros(0, dtype=bool)
-        operands: Iterable[Predicate] = pred.operands
-        if estimator is not None:
-            # Most-selective conjunct first: it eliminates the most rows,
-            # so later (possibly expensive) conjuncts see the smallest
-            # surviving batch.
-            operands = sorted(pred.operands, key=estimator)
-        alive: np.ndarray | None = None
-        current = batch
-        for operand in operands:
-            mask = self._operand(operand, current, estimator)
-            if mask.all():
-                continue
-            keep = np.flatnonzero(mask)
-            alive = keep if alive is None else alive[keep]
-            if keep.size == 0:
-                break
-            current = current.take(keep)
-        if alive is None:
-            return np.ones(n, dtype=bool)
-        out = np.zeros(n, dtype=bool)
-        out[alive] = True
-        return out
-
-    def visit_or(
-        self,
-        pred: Or,
-        batch: "ColumnBatch",
-        estimator: SelectivityEstimator | None,
-    ) -> np.ndarray:
-        n = len(batch)
-        if n == 0:
-            return np.zeros(0, dtype=bool)
-        operands: Iterable[Predicate] = pred.operands
-        if estimator is not None:
-            # Most-admitting disjunct first: it settles the most rows to
-            # TRUE, so later disjuncts run on the fewest undecided rows.
-            operands = sorted(pred.operands, key=estimator, reverse=True)
-        out = np.zeros(n, dtype=bool)
-        pending: np.ndarray | None = None
-        current = batch
-        for operand in operands:
-            mask = self._operand(operand, current, estimator)
-            if pending is None:
-                out |= mask
-                pending = np.flatnonzero(~mask)
-            else:
-                out[pending[mask]] = True
-                pending = pending[~mask]
-            if pending.size == 0:
-                break
-            current = batch.take(pending)
-        return out
-
-    def visit_not(
-        self,
-        pred: Not,
-        batch: "ColumnBatch",
-        estimator: SelectivityEstimator | None,
-    ) -> np.ndarray:
-        return ~self._operand(pred.operand, batch, estimator)
-
-
-#: Shared stateless reference instance behind :func:`evaluate_batch_naive`.
-_NAIVE = NaiveBatchLowering()
-
-
 def evaluate_batch(
     pred: Predicate,
     batch: "ColumnBatch",
@@ -666,12 +518,3 @@ def evaluate_batch(
         if stats.plan_misses:
             obs.add_counter("ir.batch.plan.miss", stats.plan_misses)
     return result
-
-
-def evaluate_batch_naive(
-    pred: Predicate,
-    batch: "ColumnBatch",
-    estimator: SelectivityEstimator | None = None,
-) -> np.ndarray:
-    """Reference clause-by-clause evaluation (no mask cache, no plan memo)."""
-    return _NAIVE.visit(pred, batch, estimator)

@@ -20,8 +20,8 @@ service does not control?  This package is the open-loop counterpart to
   published as ``load.*`` metrics for the trace report's "Load / SLO"
   section;
 * :mod:`repro.load.bench` — the ``load-bench`` CLI artifact
-  (``BENCH_load.json``): determinism gates and the static-vs-adaptive
-  admission comparison under overload.
+  (``BENCH_load.json``): determinism gates and admission under
+  overload (sheds at admit, not timeouts in queue).
 """
 
 from repro.load.arrivals import (

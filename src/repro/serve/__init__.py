@@ -17,7 +17,8 @@ the service does* is independent of *how bytes reach it*:
   affinity.
 * :mod:`repro.serve.admission` — :class:`AdmissionController` and
   :class:`Deadline`: a bounded request queue with typed shedding and
-  per-request timeouts.
+  per-request timeouts; deadline misses lower the bound (AIMD) and a
+  request predicted to miss its deadline is shed at admission.
 * :mod:`repro.serve.batcher` — :class:`MicroBatcher`: coalesces residual
   model-scoring work from *concurrent* requests into shared
   ``predict_batch`` calls, bit-identical to per-request scoring.
@@ -32,9 +33,9 @@ the service does* is independent of *how bytes reach it*:
   :class:`~repro.exceptions.ServeError` subclass round-trips.
 * :mod:`repro.serve.transport` — pluggable adapters over the engine:
   in-process :class:`LoopbackTransport`, a socketpair transport
-  (:func:`serve_socketpair`), and a TCP transport whose accept loop is
-  a single-thread ``asyncio`` front-end (:class:`TCPServer` /
-  :func:`connect_tcp`).
+  (:func:`serve_socketpair`), and a TCP transport
+  (:class:`TCPServer` / :func:`connect_tcp`) whose accept thread hands
+  each connection to the same :class:`SocketServer` loop.
 * :mod:`repro.serve.router` — :class:`ProcessRouter`: fans requests out
   to N worker *processes* (one socketpair each), broadcasts
   deploy/retire as version-stamped catalog messages, fails in-flight
@@ -57,7 +58,6 @@ and "Transport" sections.
 """
 
 from repro.serve.admission import (
-    AdaptiveAdmissionController,
     AdmissionController,
     Deadline,
     ServiceTimeEstimator,
@@ -93,7 +93,6 @@ from repro.serve.transport import (
 )
 
 __all__ = [
-    "AdaptiveAdmissionController",
     "AdmissionController",
     "BatchingCatalog",
     "ConnectionPool",

@@ -2,33 +2,23 @@
 
 A serving system protects itself by refusing work it cannot finish in
 time rather than queueing without bound.  :class:`AdmissionController`
-enforces a hard ceiling on *pending* (admitted but unfinished) requests —
-an arrival beyond the ceiling is shed immediately with
+enforces a ceiling on *pending* (admitted but unfinished) requests —
+an arrival beyond it is shed immediately with
 :class:`~repro.exceptions.QueueFullError`, which is cheap for the caller
 to retry against another replica.  :class:`Deadline` carries a
 per-request timeout: a request whose deadline lapses while queued is
 never executed (:class:`~repro.exceptions.RequestTimeoutError`), so a
 backlog drains by dropping already-dead work first.
 
-Queue depth is exported as the ``serve.queue.depth`` gauge and shed /
-timeout decisions as ``serve.request.shed`` / ``serve.request.timeout``
-counters — the signals a load balancer would watch.
+Deadlines also feed the ceiling back — an AIMD concurrency limit and
+deadline-aware shedding off a :class:`ServiceTimeEstimator`, both
+described on :class:`AdmissionController`; with no deadline on any
+request the limit is ``max_pending`` and never moves.
 
-:class:`AdaptiveAdmissionController` grows the static bound into a
-feedback controller for open-loop (SLO) traffic:
-
-* an **AIMD concurrency limit** below ``max_pending`` — additive
-  increase on every in-deadline completion, multiplicative decrease on
-  every deadline miss or queued timeout — published as the
-  ``serve.admission.limit`` gauge next to the existing
-  ``serve.queue.depth`` gauge that drives it;
-* **deadline-aware shedding**: a per-request-kind EWMA of observed
-  service times (:class:`ServiceTimeEstimator`, fed by the engine)
-  predicts this request's wait-plus-service; when that exceeds the
-  deadline's remaining budget, the request is shed *at admit time* with
-  :class:`~repro.exceptions.DeadlineShedError`
-  (``serve.request.shed.deadline`` counter) instead of spending its
-  whole deadline queued and timing out anyway.
+Queue depth and the limit are exported as the ``serve.queue.depth`` and
+``serve.admission.limit`` gauges, shed / timeout decisions as
+``serve.request.shed`` / ``serve.request.timeout`` counters — the
+signals a load balancer would watch.
 """
 
 from __future__ import annotations
@@ -38,6 +28,14 @@ import time
 
 from repro import obs
 from repro.exceptions import DeadlineShedError, QueueFullError
+
+#: AIMD steps of the concurrency limit: an in-deadline completion adds
+#: ``LIMIT_INCREASE / limit``, a deadline miss multiplies by
+#: ``LIMIT_DECREASE``.
+LIMIT_INCREASE = 1.0
+LIMIT_DECREASE = 0.5
+#: Weight of a new sample in the service-time EWMA.
+SERVICE_TIME_ALPHA = 0.3
 
 
 class Deadline:
@@ -66,17 +64,37 @@ class Deadline:
 
 
 class AdmissionController:
-    """Bounded admission over the service's request queue.
+    """AIMD-limited, deadline-aware admission over one pool of slots.
 
-    Thread-safe; :meth:`admit` raises
-    :class:`~repro.exceptions.QueueFullError` when ``max_pending``
-    requests are already admitted and unfinished.  Below the limit,
-    admission never fails — the service's "zero dropped requests below
-    the admission limit" guarantee rests on exactly this.
+    Thread-safe.  ``max_pending`` is the hard ceiling; two mechanisms
+    sit under it, both driven by request deadlines and both inert
+    without them (no deadline, no miss: the limit stays ``max_pending``
+    and admission below it never fails — the service's "zero dropped
+    requests below the admission limit" guarantee):
+
+    * The effective concurrency limit starts at ``max_pending`` and
+      adapts: each in-deadline completion adds ``LIMIT_INCREASE / limit``
+      (additive increase, ~+1 per round-trip of the whole window), each
+      deadline miss or queued timeout multiplies by ``LIMIT_DECREASE``
+      (multiplicative decrease), floored at ``workers`` so the pool is
+      never starved.  An arrival at the limit is shed with
+      :class:`~repro.exceptions.QueueFullError`.
+    * With a deadline and a service-time estimate for the request's
+      kind, admission predicts wait-plus-service as
+      ``estimate * (pending / workers + 1)`` — the queue ahead drains
+      through ``workers`` lanes, then this request runs.  A prediction
+      exceeding the deadline's remaining budget sheds immediately with
+      :class:`~repro.exceptions.DeadlineShedError`
+      (``serve.request.shed.deadline``): the caller gets its rejection
+      while the deadline still has budget to retry elsewhere, and no
+      worker wastes time dequeuing doomed work.
     """
 
     def __init__(
-        self, max_pending: int, default_timeout: float | None = None
+        self,
+        max_pending: int,
+        default_timeout: float | None = None,
+        workers: int = 1,
     ) -> None:
         if max_pending < 1:
             raise ValueError(
@@ -86,8 +104,14 @@ class AdmissionController:
             raise ValueError(
                 f"default_timeout must be > 0, got {default_timeout}"
             )
+        if workers < 1:
+            raise ValueError(f"workers must be >= 1, got {workers}")
         self.max_pending = max_pending
         self.default_timeout = default_timeout
+        self.workers = workers
+        self.estimator = ServiceTimeEstimator()
+        self._floor = float(min(workers, max_pending))
+        self._limit = float(max_pending)
         self._lock = threading.Lock()
         self._pending = 0
 
@@ -102,20 +126,33 @@ class AdmissionController:
         kind: str | None = None,
         deadline: "Deadline | None" = None,
     ) -> None:
-        """Claim one pending slot or shed the request.
-
-        ``kind`` and ``deadline`` describe the request for controllers
-        that admit by predicted feasibility; the static controller
-        accepts and ignores them, so every caller can pass them
-        unconditionally.
-        """
+        """Claim one pending slot or shed the request."""
         with self._lock:
-            if self._pending >= self.max_pending:
+            limit = int(self._limit)
+            if self._pending >= limit:
                 obs.add_counter("serve.request.shed")
                 raise QueueFullError(
                     f"request queue is full "
-                    f"({self._pending}/{self.max_pending} pending)"
+                    f"({self._pending}/{limit} pending, "
+                    f"ceiling {self.max_pending})"
                 )
+            if kind is not None and deadline is not None:
+                estimate = self.estimator.estimate(kind)
+                if estimate is not None:
+                    predicted = estimate * (
+                        self._pending / self.workers + 1.0
+                    )
+                    remaining = deadline.remaining()
+                    if predicted > remaining:
+                        obs.add_counter("serve.request.shed")
+                        obs.add_counter("serve.request.shed.deadline")
+                        raise DeadlineShedError(
+                            f"predicted {predicted * 1000:.1f}ms "
+                            f"wait+service exceeds the deadline's "
+                            f"{remaining * 1000:.1f}ms remaining "
+                            f"({self._pending} pending, "
+                            f"{estimate * 1000:.2f}ms {kind} estimate)"
+                        )
             self._pending += 1
             # Publish under the lock: two racing threads publishing
             # after release could land out of order and leave the gauge
@@ -140,18 +177,41 @@ class AdmissionController:
         service_seconds: float | None,
         ok: bool,
     ) -> None:
-        """Feedback hook after a request finishes; static: no-op.
+        """Feed one finished request back into the controller.
 
         ``service_seconds`` is the measured execution time (``None``
         when the request never executed, e.g. a queued timeout);
-        ``ok`` is whether it finished within its deadline.
+        ``ok`` is whether it finished within its deadline.  In-deadline
+        completions grow the limit additively and refine the kind's
+        service-time EWMA; deadline misses (late completions and queued
+        timeouts) shrink it multiplicatively.  Sheds do not feed back —
+        they are the controller's own output, not a congestion signal.
         """
+        if kind is not None and service_seconds is not None:
+            self.estimator.observe(kind, service_seconds)
+        with self._lock:
+            if ok:
+                self._limit = min(
+                    float(self.max_pending),
+                    self._limit + LIMIT_INCREASE / self._limit,
+                )
+            else:
+                self._limit = max(
+                    self._floor, self._limit * LIMIT_DECREASE
+                )
+            obs.set_gauge("serve.admission.limit", self._limit)
 
     @property
     def pending(self) -> int:
         """Currently admitted, unfinished requests."""
         with self._lock:
             return self._pending
+
+    @property
+    def limit(self) -> float:
+        """The current AIMD concurrency limit."""
+        with self._lock:
+            return self._limit
 
 
 class ServiceTimeEstimator:
@@ -164,7 +224,7 @@ class ServiceTimeEstimator:
     "no basis to shed".
     """
 
-    def __init__(self, alpha: float = 0.3) -> None:
+    def __init__(self, alpha: float = SERVICE_TIME_ALPHA) -> None:
         if not 0.0 < alpha <= 1.0:
             raise ValueError(f"alpha must be in (0, 1], got {alpha}")
         self.alpha = alpha
@@ -198,125 +258,3 @@ class ServiceTimeEstimator:
     def snapshot(self) -> dict[str, float]:
         with self._lock:
             return dict(self._ewma)
-
-
-class AdaptiveAdmissionController(AdmissionController):
-    """AIMD-limited, deadline-aware admission over the same slot pool.
-
-    Two mechanisms layered on the static bound (which remains the hard
-    ceiling):
-
-    * The effective concurrency limit starts at ``max_pending`` and
-      adapts: each in-deadline completion adds ``increase / limit``
-      (additive increase, ~+1 per round-trip of the whole window), each
-      deadline miss or queued timeout multiplies by ``decrease``
-      (multiplicative decrease), floored at ``workers`` so the pool is
-      never starved.  The limit is published as the
-      ``serve.admission.limit`` gauge.
-    * With a deadline and a service-time estimate for the request's
-      kind, admission predicts wait-plus-service as
-      ``estimate * (pending / workers + 1)`` — the queue ahead drains
-      through ``workers`` lanes, then this request runs.  A prediction
-      exceeding the deadline's remaining budget sheds immediately with
-      :class:`~repro.exceptions.DeadlineShedError`
-      (``serve.request.shed.deadline``): the caller gets its rejection
-      while the deadline still has budget to retry elsewhere, and no
-      worker wastes time dequeuing doomed work.
-    """
-
-    def __init__(
-        self,
-        max_pending: int,
-        default_timeout: float | None = None,
-        workers: int = 1,
-        increase: float = 1.0,
-        decrease: float = 0.5,
-        alpha: float = 0.3,
-    ) -> None:
-        super().__init__(max_pending, default_timeout=default_timeout)
-        if workers < 1:
-            raise ValueError(f"workers must be >= 1, got {workers}")
-        if increase <= 0:
-            raise ValueError(f"increase must be > 0, got {increase}")
-        if not 0.0 < decrease < 1.0:
-            raise ValueError(
-                f"decrease must be in (0, 1), got {decrease}"
-            )
-        self.workers = workers
-        self._increase = increase
-        self._decrease = decrease
-        self._floor = float(min(workers, max_pending))
-        self._limit = float(max_pending)
-        self.estimator = ServiceTimeEstimator(alpha)
-        self.deadline_sheds = 0
-        self.limit_sheds = 0
-
-    @property
-    def limit(self) -> float:
-        """The current AIMD concurrency limit."""
-        with self._lock:
-            return self._limit
-
-    def admit(
-        self,
-        kind: str | None = None,
-        deadline: "Deadline | None" = None,
-    ) -> None:
-        with self._lock:
-            limit = min(self.max_pending, int(self._limit))
-            if self._pending >= limit:
-                self.limit_sheds += 1
-                obs.add_counter("serve.request.shed")
-                raise QueueFullError(
-                    f"adaptive admission limit reached "
-                    f"({self._pending}/{limit} pending, "
-                    f"AIMD limit {self._limit:.1f})"
-                )
-            if kind is not None and deadline is not None:
-                estimate = self.estimator.estimate(kind)
-                if estimate is not None:
-                    predicted = estimate * (
-                        self._pending / self.workers + 1.0
-                    )
-                    remaining = deadline.remaining()
-                    if predicted > remaining:
-                        self.deadline_sheds += 1
-                        obs.add_counter("serve.request.shed")
-                        obs.add_counter("serve.request.shed.deadline")
-                        raise DeadlineShedError(
-                            f"predicted {predicted * 1000:.1f}ms "
-                            f"wait+service exceeds the deadline's "
-                            f"{remaining * 1000:.1f}ms remaining "
-                            f"({self._pending} pending, "
-                            f"{estimate * 1000:.2f}ms {kind} estimate)"
-                        )
-            self._pending += 1
-            obs.set_gauge("serve.queue.depth", self._pending)
-
-    def record_outcome(
-        self,
-        kind: str | None,
-        service_seconds: float | None,
-        ok: bool,
-    ) -> None:
-        """Feed one finished request back into the controller.
-
-        In-deadline completions grow the limit additively and refine the
-        kind's service-time EWMA; deadline misses (late completions and
-        queued timeouts) shrink it multiplicatively.  Sheds do not feed
-        back — they are the controller's own output, not a congestion
-        signal.
-        """
-        if kind is not None and service_seconds is not None:
-            self.estimator.observe(kind, service_seconds)
-        with self._lock:
-            if ok:
-                self._limit = min(
-                    float(self.max_pending),
-                    self._limit + self._increase / max(self._limit, 1.0),
-                )
-            else:
-                self._limit = max(
-                    self._floor, self._limit * self._decrease
-                )
-            obs.set_gauge("serve.admission.limit", self._limit)

@@ -64,11 +64,7 @@ from repro.mining.base import Row
 from repro.mining.interchange import model_from_dict
 from repro.segments.batcher import MatchBatcher
 from repro.segments.catalog import SegmentCatalog
-from repro.serve.admission import (
-    AdaptiveAdmissionController,
-    AdmissionController,
-    Deadline,
-)
+from repro.serve.admission import AdmissionController, Deadline
 from repro.serve.batcher import BatchingCatalog, MicroBatcher
 from repro.serve.pool import ConnectionPool
 from repro.serve.registry import ModelRegistry
@@ -347,17 +343,10 @@ class ServeEngine:
         collapsing: bool = True,
         selectivity_gate: float | None = 0.2,
         segment_catalog: "SegmentCatalog | None" = None,
-        calibration: "CalibrationStore | None" = None,
-        admission: str = "static",
         result_ttl: float | None = None,
     ) -> None:
         if workers < 1:
             raise ValueError(f"workers must be >= 1, got {workers}")
-        if admission not in ("static", "adaptive"):
-            raise ValueError(
-                f"admission must be 'static' or 'adaptive', "
-                f"got {admission!r}"
-            )
         self._registry = registry
         self._segments = segment_catalog
         # Every resource owning a thread or a connection is created
@@ -370,18 +359,11 @@ class ServeEngine:
         self._workers: list[threading.Thread] = []
         try:
             self._pool = ConnectionPool(db, read_only=True)
-            if admission == "adaptive":
-                self._controller: AdmissionController = (
-                    AdaptiveAdmissionController(
-                        max_pending,
-                        default_timeout=default_timeout,
-                        workers=workers,
-                    )
-                )
-            else:
-                self._controller = AdmissionController(
-                    max_pending, default_timeout=default_timeout
-                )
+            self._controller = AdmissionController(
+                max_pending,
+                default_timeout=default_timeout,
+                workers=workers,
+            )
             self._result_cache = (
                 None if result_ttl is None else ResultCache(result_ttl)
             )
@@ -392,11 +374,7 @@ class ServeEngine:
             # One calibration store next to the stats cache: observations
             # from any worker refine every worker's estimates, and the
             # shared plan cache recalibrates against the shared overlay.
-            self._calibration = (
-                calibration
-                if calibration is not None
-                else CalibrationStore()
-            )
+            self._calibration = CalibrationStore()
             if segment_catalog is not None:
                 self._match_batcher = MatchBatcher(segment_catalog)
             self._batcher = MicroBatcher(registry.catalog)
@@ -457,11 +435,6 @@ class ServeEngine:
         return self._batcher
 
     @property
-    def calibration(self) -> CalibrationStore:
-        """The calibration store shared by every worker's executor."""
-        return self._calibration
-
-    @property
     def segments(self) -> "SegmentCatalog | None":
         """The live segment catalog (``None`` without one)."""
         return self._segments
@@ -478,7 +451,7 @@ class ServeEngine:
 
     @property
     def admission(self) -> AdmissionController:
-        """The admission controller (static or adaptive)."""
+        """The admission controller."""
         return self._controller
 
     @property
@@ -490,7 +463,7 @@ class ServeEngine:
         """Admit one typed request; returns a future for its result.
 
         Raises :class:`~repro.exceptions.QueueFullError` when the bounded
-        queue is full (under adaptive admission also
+        queue is full (also
         :class:`~repro.exceptions.DeadlineShedError` when the deadline is
         predicted infeasible) and
         :class:`~repro.exceptions.ServiceStoppedError` when draining or

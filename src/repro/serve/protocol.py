@@ -76,7 +76,14 @@ from repro.core.rewrite import (
     PredictionJoinColumn,
     PredictionJoinPrediction,
 )
-from repro.exceptions import ProtocolError, ReproError, SchemaError, ServeError
+from repro.exceptions import (
+    PredicateError,
+    ProtocolError,
+    ReproError,
+    RewriteError,
+    SchemaError,
+    ServeError,
+)
 from repro.ir.batch import MaskCacheStats
 from repro.serve.engine import (
     DeployRequest,
@@ -479,7 +486,9 @@ def decode_predicate(payload: dict) -> Predicate:
             return Not(decode_predicate(payload["op"]))
     except ProtocolError:
         raise
-    except (KeyError, TypeError, ValueError) as error:
+    except (KeyError, TypeError, ValueError, PredicateError) as error:
+        # PredicateError: well-formed JSON that breaks a constructor's
+        # invariant (empty IN set, inverted interval, one-operand AND).
         raise ProtocolError(
             f"malformed predicate payload {payload!r}: {error}"
         ) from error
@@ -536,7 +545,7 @@ def decode_mining_predicate(payload: dict) -> MiningPredicate:
             return PredictionJoinColumn(payload["model"], payload["col"])
     except ProtocolError:
         raise
-    except (KeyError, TypeError) as error:
+    except (KeyError, TypeError, RewriteError) as error:
         raise ProtocolError(
             f"malformed mining predicate payload {payload!r}: {error}"
         ) from error
@@ -596,6 +605,18 @@ def _request_meta(request, tail: list[bytes]) -> dict:
     )
 
 
+def _decode_timeout(value) -> "float | None":
+    """A request timeout off the wire: null or a positive number."""
+    if value is None:
+        return None
+    # JSON's own numbers only: ``true`` is an int to isinstance.
+    if type(value) not in (int, float) or not value > 0:
+        raise ProtocolError(
+            f"timeout must be null or a number > 0, got {value!r}"
+        )
+    return value
+
+
 def decode_request(
     payload: dict,
 ) -> "QueryRequest | MatchRequest | DeployRequest | RetireRequest":
@@ -612,7 +633,7 @@ def decode_request(
                     ),
                 ),
                 optimize=payload["optimize"],
-                timeout=payload["timeout"],
+                timeout=_decode_timeout(payload["timeout"]),
             )
         if tag == "match":
             return MatchRequest(
@@ -620,7 +641,7 @@ def decode_request(
                 segments=None
                 if payload["segments"] is None
                 else tuple(payload["segments"]),
-                timeout=payload["timeout"],
+                timeout=_decode_timeout(payload["timeout"]),
             )
         if tag == "deploy":
             return DeployRequest(

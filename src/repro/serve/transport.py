@@ -15,11 +15,12 @@ onto it.  Three adapters, one client API
   (one socketpair per worker) and as the cheapest full-codec test bed.
   :func:`serve_socketpair` wires one up against an engine in-process.
 * :class:`SocketTransport` over TCP (:func:`connect_tcp`) against
-  :class:`TCPServer` — a real networked front-end whose accept loop is
-  an ``asyncio`` event loop on a single daemon thread, so many idle
-  client connections cost file descriptors, not threads.  Execution
-  still happens on the engine's worker pool; the event loop only frames
-  and unframes bytes.
+  :class:`TCPServer` — a real networked front-end: a listening socket
+  whose accept thread hands each connection to the same
+  :class:`SocketServer` loop the socketpair path runs.  Execution still
+  happens on the engine's worker pool; a connection's thread only
+  frames and unframes bytes, and the workers write the responses,
+  which is why an accepted socket carries :data:`SEND_TIMEOUT`.
 
 Server-side, :class:`EngineDispatcher` is the one request pump all byte
 transports share: it feeds arriving bytes through a
@@ -39,12 +40,13 @@ Transport section.
 
 from __future__ import annotations
 
-import asyncio
 import itertools
 import random
 import socket
+import struct
 import threading
 import time
+import weakref
 from concurrent.futures import Future
 from concurrent.futures import TimeoutError as FutureTimeoutError
 from dataclasses import dataclass
@@ -79,8 +81,23 @@ from repro.serve.protocol import (
     encode_response,
 )
 
-#: Read chunk for every blocking and asyncio receive loop.
+#: Read chunk of both receive loops (client reader, server reader).
 RECV_BYTES = 65536
+
+#: Whole seconds an accepted TCP connection may take no byte of a
+#: response before the server drops it.  Engine workers write responses
+#: themselves, so this bounds what a peer that stops reading costs them.
+SEND_TIMEOUT = 5
+
+
+def _hang_up(sock: "socket.socket") -> None:
+    """Shut down, then close: the shutdown wakes a thread blocked in
+    ``recv``/``accept`` on the socket, closing the descriptor would not."""
+    try:
+        sock.shutdown(socket.SHUT_RDWR)
+    except OSError:
+        pass
+    sock.close()
 
 
 class Transport:
@@ -125,10 +142,6 @@ class LoopbackTransport(Transport):
 
     def __init__(self, engine: ServeEngine) -> None:
         self._engine = engine
-
-    @property
-    def engine(self) -> ServeEngine:
-        return self._engine
 
     def submit(self, request):
         obs.add_counter(f"serve.transport.requests.{self.name}")
@@ -248,7 +261,7 @@ class SocketTransport(Transport):
         self._lock = threading.Lock()
         self._ids = itertools.count(1)
         self._pending: dict[int, "Future"] = {}
-        self._closed = False
+        self.closed = False
         self._reader = threading.Thread(
             target=self._read_loop,
             name=f"repro-transport-{name}-reader",
@@ -262,7 +275,7 @@ class SocketTransport(Transport):
         payload = encode_request(request)
         future: "Future" = Future()
         with self._lock:
-            if self._closed:
+            if self.closed:
                 raise self._close_error(
                     f"{self.name} transport is closed"
                 )
@@ -289,9 +302,8 @@ class SocketTransport(Transport):
         that timeout plus one network round trip.
         """
         timeout = getattr(request, "timeout", None)
-        future = self.submit(request)
         try:
-            return future.result(timeout=timeout)
+            return self.submit(request).result(timeout=timeout)
         except FutureTimeoutError:
             raise RequestTimeoutError(
                 f"request exceeded its {timeout:.3f}s deadline "
@@ -299,26 +311,17 @@ class SocketTransport(Transport):
             ) from None
 
     def control(self, request):
-        future = self.submit(request)
-        return future.result()
+        return self.submit(request).result()
 
     def close(self) -> None:
         with self._lock:
-            if self._closed:
+            if self.closed:
                 return
-            self._closed = True
-        try:
-            self._sock.shutdown(socket.SHUT_RDWR)
-        except OSError:
-            pass
-        self._sock.close()
+            self.closed = True
+        _hang_up(self._sock)
         if self._reader is not threading.current_thread():
             self._reader.join(timeout=5)
         self._fail_pending(self._close_error(f"{self.name} transport closed"))
-
-    @property
-    def closed(self) -> bool:
-        return self._closed
 
     # -- reader ----------------------------------------------------------
 
@@ -333,9 +336,9 @@ class SocketTransport(Transport):
                     self._resolve(frame)
         except (OSError, ProtocolError):
             pass
-        was_closed = self._closed
+        was_closed = self.closed
         with self._lock:
-            self._closed = True
+            self.closed = True
         self._fail_pending(
             self._close_error(
                 f"{self.name} transport connection lost with the "
@@ -378,9 +381,10 @@ class SocketServer:
 
     Runs a daemon thread reading the socket into an
     :class:`EngineDispatcher`; exits on EOF or a corrupt stream.  Used
-    for socketpair serving in-process and as the worker-side loop of
-    the multi-process router (where it runs on the worker's main
-    thread via :meth:`serve_forever`).
+    for socketpair serving in-process, for every connection a
+    :class:`TCPServer` accepts, and as the worker-side loop of the
+    multi-process router (where it runs on the worker's main thread via
+    :meth:`serve_forever`).
     """
 
     def __init__(
@@ -390,7 +394,6 @@ class SocketServer:
         name: str = "socketpair",
         threaded: bool = True,
     ) -> None:
-        self._engine = engine
         self._sock = sock
         self._write_lock = threading.Lock()
         self.dispatcher = EngineDispatcher(engine, name, self._send)
@@ -408,12 +411,16 @@ class SocketServer:
             try:
                 self._sock.sendall(frame)
             except OSError:
-                # The client hung up mid-response; its reader already
-                # failed the request transport-side.
-                pass
+                # The client hung up, or took no byte for SEND_TIMEOUT.
+                # Half a frame may be out, so the stream is finished:
+                # hang up (the reader thread sees EOF and exits), and
+                # every later send on this connection fails at once.
+                _hang_up(self._sock)
 
     def serve_forever(self) -> None:
-        """Read until EOF or a corrupt stream, dispatching every frame."""
+        """Read until EOF or a corrupt stream, dispatching every frame;
+        then close the socket, so the client sees EOF and fails its
+        in-flight requests rather than wait on a stream nobody reads."""
         try:
             while True:
                 data = self._sock.recv(RECV_BYTES)
@@ -422,13 +429,11 @@ class SocketServer:
                 self.dispatcher.feed(data)
         except (OSError, ProtocolError):
             return
+        finally:
+            self.close()
 
     def close(self) -> None:
-        try:
-            self._sock.shutdown(socket.SHUT_RDWR)
-        except OSError:
-            pass
-        self._sock.close()
+        _hang_up(self._sock)
         if (
             self._thread is not None
             and self._thread is not threading.current_thread()
@@ -451,14 +456,11 @@ def serve_socketpair(
 
 
 class TCPServer:
-    """Asyncio TCP front-end over one engine.
+    """TCP front-end over one engine: a listener and an accept thread.
 
-    The event loop runs on a single daemon thread and only moves bytes:
-    arriving frames are dispatched to the engine's worker pool, and
-    responses are written back via ``call_soon_threadsafe`` (engine
-    callbacks fire on worker threads).  Idle connections are just
-    descriptors parked on the selector — no thread each — which is the
-    point of an asyncio front-end.
+    Every accepted connection gets its own :class:`SocketServer` — the
+    loop the socketpair and router paths already run — so there is one
+    byte-server loop, and a connection costs one parked reader thread.
     """
 
     def __init__(
@@ -468,90 +470,58 @@ class TCPServer:
         port: int = 0,
     ) -> None:
         self._engine = engine
-        self._loop = asyncio.new_event_loop()
-        self._server: "asyncio.AbstractServer | None" = None
-        started = threading.Event()
+        try:
+            self._listener = socket.create_server((host, port))
+        except OSError as error:
+            raise TransportError(
+                f"could not bind TCP server on {host}:{port}: {error}"
+            ) from error
+        # Weak: a connection's reader thread keeps its SocketServer
+        # alive exactly while it serves, so close() finds the live
+        # connections here and a long-lived server holds no dead ones.
+        self._connections: "weakref.WeakSet[SocketServer]" = weakref.WeakSet()
+        self._closed = False
         self._thread = threading.Thread(
-            target=self._run,
-            args=(host, port, started),
+            target=self._accept_loop,
             name="repro-transport-tcp-server",
             daemon=True,
         )
         self._thread.start()
-        if not started.wait(timeout=10):
-            raise TransportError("TCP server failed to start in 10s")
-        if self._server is None:
-            raise TransportError(f"could not bind TCP server on {host}:{port}")
 
-    def _run(
-        self, host: str, port: int, started: "threading.Event"
-    ) -> None:
-        asyncio.set_event_loop(self._loop)
-
-        async def start() -> None:
+    def _accept_loop(self) -> None:
+        send_timeout = struct.pack("ll", SEND_TIMEOUT, 0)  # a timeval
+        while True:
             try:
-                self._server = await asyncio.start_server(
-                    self._handle_connection, host, port
-                )
-            finally:
-                started.set()
-
-        self._loop.run_until_complete(start())
-        if self._server is not None:
-            self._loop.run_forever()
-        self._loop.close()
-
-    async def _handle_connection(
-        self,
-        reader: "asyncio.StreamReader",
-        writer: "asyncio.StreamWriter",
-    ) -> None:
-        def send(frame: bytes) -> None:
-            # Engine callbacks land here from worker threads; only the
-            # loop may touch the writer.
-            self._loop.call_soon_threadsafe(self._write, writer, frame)
-
-        dispatcher = EngineDispatcher(self._engine, "tcp", send)
-        try:
-            while True:
-                data = await reader.read(RECV_BYTES)
-                if not data:
-                    break
-                dispatcher.feed(data)
-        except (ConnectionError, ProtocolError):
-            pass
-        finally:
-            try:
-                writer.close()
-            except RuntimeError:
-                # Server shutdown stopped the loop with this handler
-                # still parked on a read; nothing left to close onto.
-                pass
-
-    @staticmethod
-    def _write(writer: "asyncio.StreamWriter", frame: bytes) -> None:
-        if not writer.is_closing():
-            writer.write(frame)
+                sock, _ = self._listener.accept()
+            except OSError:
+                if self._closed:
+                    return
+                # A client gave up while queued, or the process is out
+                # of descriptors until some connection ends: carry on.
+                obs.add_counter("serve.transport.accept_errors")
+                time.sleep(0.05)
+                continue
+            # A reply must not wait for the ACK of the one before it.
+            sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
+            sock.setsockopt(
+                socket.SOL_SOCKET, socket.SO_SNDTIMEO, send_timeout
+            )
+            self._connections.add(
+                SocketServer(self._engine, sock, name="tcp")
+            )
 
     @property
     def address(self) -> tuple[str, int]:
         """The bound ``(host, port)`` — port is real even when bound to 0."""
-        assert self._server is not None
-        sock = self._server.sockets[0]
-        host, port = sock.getsockname()[:2]
-        return host, port
+        return self._listener.getsockname()[:2]
 
     def close(self) -> None:
-        if self._server is None:
-            return
-
-        def stop() -> None:
-            assert self._server is not None
-            self._server.close()
-            self._loop.stop()
-
-        self._loop.call_soon_threadsafe(stop)
+        self._closed = True
+        _hang_up(self._listener)
+        # Joined first: no connection is accepted after this line.
         self._thread.join(timeout=10)
+        for server in list(self._connections):
+            server.close()
 
     def __enter__(self) -> "TCPServer":
         return self
@@ -638,37 +608,32 @@ class RetryingTransport(Transport):
         reconnect=None,
     ) -> None:
         self.name = f"retry({inner.name})"
-        self._inner = inner
+        #: The transport currently wrapped (swapped on reconnect).
+        self.inner = inner
         self._policy = policy
         self._reconnect = reconnect
 
-    @property
-    def inner(self) -> Transport:
-        """The transport currently wrapped (swapped on reconnect)."""
-        return self._inner
-
     def submit(self, request) -> "Future":
-        return self._inner.submit(request)
+        return self.inner.submit(request)
 
     def request(self, request):
-        attempts = [None] + self._policy.delays()
         last_error: BaseException | None = None
-        for attempt, delay in enumerate(attempts):
+        for delay in [None] + self._policy.delays():
             if delay is not None:
                 time.sleep(delay)
                 obs.add_counter("serve.transport.retry")
                 if self._reconnect is not None and getattr(
-                    self._inner, "closed", False
+                    self.inner, "closed", False
                 ):
                     try:
                         replacement = self._reconnect()
                     except TransportError as error:
                         last_error = error
                         continue
-                    self._inner.close()
-                    self._inner = replacement
+                    self.inner.close()
+                    self.inner = replacement
             try:
-                return self._inner.request(request)
+                return self.inner.request(request)
             except WorkerCrashedError as error:
                 last_error = error
             except RequestTimeoutError:
@@ -681,10 +646,10 @@ class RetryingTransport(Transport):
         raise last_error
 
     def control(self, request):
-        return self._inner.control(request)
+        return self.inner.control(request)
 
     def close(self) -> None:
-        self._inner.close()
+        self.inner.close()
 
 
 def connect_tcp(

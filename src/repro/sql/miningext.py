@@ -115,11 +115,11 @@ class PredictionJoinExecutor:
     above roughly 10% selectivity).  Set it to ``None`` to always push the
     envelope regardless of selectivity.
 
-    ``vectorized`` selects the residual-filter implementation: the default
-    scores fetched rows in columnar batches of ``batch_size`` rows through
-    each model's ``predict_batch``; ``False`` falls back to the scalar
-    row-at-a-time path.  Both paths memoize predictions per (model, row),
-    and both return identical rows — the knob trades nothing but speed.
+    The residual filter scores fetched rows in columnar batches of
+    ``batch_size`` rows through each model's ``predict_batch``, memoizing
+    predictions per (model, row); its result is what
+    :meth:`MiningQuery.evaluate` (the reference semantics) returns row by
+    row.
     """
 
     def __init__(
@@ -129,7 +129,6 @@ class PredictionJoinExecutor:
         selectivity_gate: float | None = 0.2,
         stats_sample: int = 10_000,
         plan_cache: "PlanCache | None" = None,
-        vectorized: bool = True,
         batch_size: int = 2048,
         stats_cache: "dict[str, TableStats] | None" = None,
         calibration: "CalibrationStore | None" = None,
@@ -148,7 +147,6 @@ class PredictionJoinExecutor:
             stats_cache if stats_cache is not None else {}
         )
         self._plan_cache = plan_cache
-        self._vectorized = vectorized
         self._batch_size = batch_size
         # The calibration store is shared the same way the stats cache
         # is: every executor over the same data feeds and reads one
@@ -158,13 +156,8 @@ class PredictionJoinExecutor:
         self._calibration = calibration
 
     @property
-    def vectorized(self) -> bool:
-        """Whether the residual filter runs in columnar batches."""
-        return self._vectorized
-
-    @property
     def batch_size(self) -> int:
-        """Rows per columnar batch on the vectorized path."""
+        """Rows per columnar batch of the residual filter."""
         return self._batch_size
 
     @property
@@ -199,32 +192,16 @@ class PredictionJoinExecutor:
         The executor only passes envelopes that were *not* pushed into
         SQL; a pushed envelope has already filtered the fetch.
 
-        Both the vectorized and scalar paths memoize predictions per
-        (model, row), so several predicates over one model score each row
-        once.  The second return value surfaces those memos (model name ->
-        labels aligned with the surviving rows) so callers that need
-        prediction columns never invoke the models again.  The survivors
-        are ``fetched.take(alive)`` — ``fetched`` itself when every row
-        survives — so no row object is built on either path's way out.
+        Predictions are memoized per (model, row), so several predicates
+        over one model score each row once.  The second return value
+        surfaces those memos (model name -> labels aligned with the
+        surviving rows) so callers that need prediction columns never
+        invoke the models again.  The survivors are ``fetched.take(alive)``
+        — ``fetched`` itself when every row survives — so no row object is
+        built on the way out.
         """
         if not predicates:
             return fetched, {}
-        if not self._vectorized:
-            selected: list[int] = []
-            row_caches: list[dict[str, Value]] = []
-            for position, row in enumerate(fetched):
-                cache: dict[str, Value] = {}
-                if all(
-                    predicate.evaluate_cached(row, self._catalog, cache)
-                    for predicate in predicates
-                ):
-                    selected.append(position)
-                    row_caches.append(cache)
-            self._count_residual(len(fetched), len(selected))
-            return (
-                _survivors(fetched, selected),
-                _collect_row_predictions(row_caches),
-            )
         alive_parts: list[np.ndarray] = []
         predictions: dict[str, list[Value]] | None = None
         step = self._batch_size
@@ -254,18 +231,15 @@ class PredictionJoinExecutor:
         survivors = _survivors(
             fetched, np.concatenate(alive_parts) if alive_parts else []
         )
-        self._count_residual(len(fetched), len(survivors))
+        if obs.enabled():
+            obs.add_counter("executor.residual.rows_in", len(fetched))
+            obs.add_counter("executor.residual.rows_out", len(survivors))
         store = {
             name: tuple(values)
             for name, values in (predictions or {}).items()
             if len(values) == len(survivors)
         }
         return survivors, store
-
-    def _count_residual(self, rows_in: int, rows_out: int) -> None:
-        if obs.enabled():
-            obs.add_counter("executor.residual.rows_in", rows_in)
-            obs.add_counter("executor.residual.rows_out", rows_out)
 
     def _filter_batch(
         self,
@@ -534,25 +508,6 @@ class PredictionJoinExecutor:
             for enriched, label in zip(augmented, labels):
                 enriched[model.prediction_column] = label
         return augmented
-
-
-def _collect_row_predictions(
-    caches: Sequence[Mapping[str, Value]],
-) -> dict[str, tuple[Value, ...]]:
-    """Stitch per-row prediction memos into per-model label columns.
-
-    Only models memoized for *every* surviving row are kept — a predicate
-    that bypasses the cache would otherwise leave misaligned columns.
-    """
-    if not caches:
-        return {}
-    names = set(caches[0])
-    for cache in caches[1:]:
-        names &= cache.keys()
-    return {
-        name: tuple(cache[name] for cache in caches)
-        for name in sorted(names)
-    }
 
 
 def _survivors(fetched: RowSet, alive: Sequence[int]) -> RowSet:

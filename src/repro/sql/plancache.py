@@ -34,7 +34,12 @@ from dataclasses import dataclass
 
 from repro import obs
 from repro.core.catalog import ModelCatalog
-from repro.core.optimizer import MiningQuery, OptimizedQuery, optimize
+from repro.core.optimizer import (
+    DEFAULT_MAX_DISJUNCTS,
+    MiningQuery,
+    OptimizedQuery,
+    optimize,
+)
 from repro.core.predicates import SelectivityEstimator
 from repro.ir import fingerprint as ir_fingerprint
 
@@ -96,48 +101,16 @@ class PlanCache:
         self.stats = PlanCacheStats()
 
     @staticmethod
-    def _canonical_kwargs(optimize_kwargs: dict) -> tuple:
-        """Order-independent, hashable form of the optimizer settings.
-
-        The settings are part of the plan's identity: a query optimized
-        with one disjunct threshold must not be replayed for a call with
-        different settings.
-        """
-
-        def freeze(value: object) -> object:
-            if isinstance(value, dict):
-                # Sort by repr like the set branch: mixed-type keys
-                # (e.g. ``{1: ..., "a": ...}``) are unorderable and a
-                # plain sorted() turned a cache lookup into a TypeError.
-                return tuple(
-                    sorted(
-                        ((k, freeze(v)) for k, v in value.items()),
-                        key=lambda item: (repr(item[0]), repr(item[1])),
-                    )
-                )
-            if isinstance(value, (list, tuple)):
-                return tuple(freeze(v) for v in value)
-            if isinstance(value, (set, frozenset)):
-                return tuple(sorted((freeze(v) for v in value), key=repr))
-            try:
-                hash(value)
-            except TypeError:
-                return repr(value)
-            return value
-
-        return tuple(
-            sorted((name, freeze(value)) for name, value in optimize_kwargs.items())
-        )
-
-    @staticmethod
-    def _fingerprint(query: MiningQuery, optimize_kwargs: dict) -> tuple:
+    def _fingerprint(query: MiningQuery, max_disjuncts: int) -> tuple:
+        # The disjunct threshold is part of the plan's identity: a query
+        # optimized under one must not be replayed for a call with another.
         return (
             query.table,
             ir_fingerprint(query.relational_predicate),
             tuple(
                 predicate.describe() for predicate in query.mining_predicates
             ),
-            PlanCache._canonical_kwargs(optimize_kwargs),
+            max_disjuncts,
         )
 
     @staticmethod
@@ -158,16 +131,16 @@ class PlanCache:
         query: MiningQuery,
         catalog: ModelCatalog,
         calibrated: "SelectivityEstimator | None" = None,
-        **optimize_kwargs,
+        max_disjuncts: int = DEFAULT_MAX_DISJUNCTS,
     ) -> OptimizedQuery:
         """Return a cached plan if every referenced model is unchanged.
 
         A version mismatch counts as an *invalidation* (the stale entry is
         evicted) and the query is re-optimized against the current
-        envelopes.  The ``optimize_kwargs`` are folded into the cache key,
-        so the same query under different optimizer settings is a *miss*
-        (re-optimized), never a silent replay of a plan built with other
-        settings.
+        envelopes.  ``max_disjuncts`` is folded into the cache key, so
+        the same query under a different threshold is a *miss*
+        (re-optimized), never a silent replay of a plan built with
+        another.
 
         ``calibrated``, when given, enables divergence-triggered
         invalidation: a hit whose recorded estimate (see
@@ -177,7 +150,7 @@ class PlanCache:
         was kept under selectivity assumptions the measured traffic has
         since contradicted.  Counted as ``plan_cache.recalibration``.
         """
-        key = self._fingerprint(query, optimize_kwargs)
+        key = self._fingerprint(query, max_disjuncts)
         versions = self._model_versions(query, catalog)
         with self._lock:
             cached = self._entries.get(key)
@@ -200,7 +173,7 @@ class PlanCache:
             obs.add_counter("plan_cache.miss")
         # Optimize outside the lock: misses on different queries must not
         # serialize behind each other in the serving path.
-        plan = optimize(query, catalog, **optimize_kwargs)
+        plan = optimize(query, catalog, max_disjuncts=max_disjuncts)
         with self._lock:
             self._entries[key] = (versions, plan, None)
             self._entries.move_to_end(key)
@@ -232,7 +205,7 @@ class PlanCache:
         query: MiningQuery,
         catalog: ModelCatalog,
         estimate: float,
-        **optimize_kwargs,
+        max_disjuncts: int = DEFAULT_MAX_DISJUNCTS,
     ) -> None:
         """Attach the selectivity estimate a cached plan was executed under.
 
@@ -241,7 +214,7 @@ class PlanCache:
         compare the calibrated truth against.  A no-op when the entry
         has since been evicted or replaced by a different-version plan.
         """
-        key = self._fingerprint(query, optimize_kwargs)
+        key = self._fingerprint(query, max_disjuncts)
         versions = self._model_versions(query, catalog)
         with self._lock:
             cached = self._entries.get(key)

@@ -16,6 +16,7 @@ from repro.mining.decision_tree import DecisionTreeLearner
 from repro.mining.kmeans import KMeansLearner
 from repro.mining.naive_bayes import NaiveBayesLearner, naive_bayes_from_tables
 from repro.mining.rules import RuleLearner
+from repro.sql.compiler import select_statement
 
 
 @pytest.fixture(scope="session")
@@ -77,6 +78,18 @@ def make_customer_rows(n: int = 400, seed: int = 7) -> list[dict]:
 
 
 CUSTOMER_FEATURES = ("age", "income", "gender", "region")
+
+
+def reference_rows(db, catalog, query) -> list[dict]:
+    """What ``query`` returns under the reference semantics (paper §2.1):
+    fetch by the relational predicate, keep the rows
+    :meth:`MiningQuery.evaluate` accepts — one scalar ``predict`` per
+    model and row, in scan order.  Every executor parity test compares
+    against this."""
+    fetched = db.query_rows(
+        select_statement(query.table, query.relational_predicate)
+    )
+    return [row for row in fetched if query.evaluate(row, catalog)]
 
 
 @pytest.fixture(scope="session")

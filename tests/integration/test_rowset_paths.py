@@ -4,8 +4,9 @@ NULL- and bool-bearing table.
 The table carries the model's feature columns plus three the models
 never read: ``vip`` (inserted as Python bools), ``note`` (TEXT with
 NULLs) and ``score`` (REAL with NULLs).  Whatever path produces the
-result — naive or envelope-rewritten, scalar or vectorized, executor or
-serving engine — the rows must be the same
+result — naive or envelope-rewritten, the scalar reference semantics or
+the vectorized executor at any batch size, executor or serving engine —
+the rows must be the same
 :class:`~repro.core.columns.RowSet` content, column order and exact
 value types included.
 """
@@ -24,7 +25,7 @@ from repro.sql.database import Database
 from repro.sql.miningext import PredictionJoinExecutor
 from repro.sql.schema import Column, ColumnType, TableSchema
 
-from tests.conftest import CUSTOMER_FEATURES
+from tests.conftest import CUSTOMER_FEATURES, reference_rows
 
 EXTRA = (
     Column("vip", ColumnType.INTEGER),
@@ -98,21 +99,22 @@ def exact(rows) -> list[list[tuple]]:
 
 @pytest.mark.parametrize("query", QUERIES, ids=range(len(QUERIES)))
 def test_optimized_naive_scalar_vectorized_agree(db, registry, query):
-    reports = {
-        (vectorized, optimize): PredictionJoinExecutor(
-            db, registry.catalog, vectorized=vectorized, batch_size=64
+    reports = [
+        PredictionJoinExecutor(
+            db, registry.catalog, batch_size=batch_size
         ).execute(query, optimize_query=optimize)
-        for vectorized in (True, False)
+        for batch_size in (1, 99, db.row_count("customers"))
         for optimize in (True, False)
-    }
-    reference = reports[(False, False)].rows
-    assert isinstance(reference, RowSet)
-    assert reference.names == CUSTOMER_FEATURES + ("vip", "note", "score")
+    ]
+    # The scalar side: MiningQuery.evaluate over the relational fetch.
+    reference = reference_rows(db, registry.catalog, query)
     assert len(reference) > 0
+    assert tuple(reference[0]) == CUSTOMER_FEATURES + ("vip", "note", "score")
     # The NULLs and the 0/1 the bools were stored as come back as such.
-    assert {type(v) for v in reference.column("vip")} == {int}
-    assert None in reference.column("note") and None in reference.column("score")
-    for report in reports.values():
+    assert {type(row["vip"]) for row in reference} == {int}
+    assert None in {row["note"] for row in reference}
+    assert None in {row["score"] for row in reference}
+    for report in reports:
         assert isinstance(report.rows, RowSet)
         # No index: every path scans in rowid order, so equality is exact.
         assert report.rows == reference

@@ -23,12 +23,8 @@ from repro.core.predicates import (
 from repro.exceptions import PredicateError
 from repro.ir import intern
 from repro.ir import batch as batch_lowering
-from repro.ir.batch import (
-    BatchLowering,
-    evaluate_batch,
-    evaluate_batch_naive,
-    reset_plan_memo,
-)
+from repro.experiments.bench_disjunction import evaluate_batch_naive
+from repro.ir.batch import BatchLowering, evaluate_batch, reset_plan_memo
 
 ROWS = [{"x": float(i), "y": float(i % 7), "city": c}
         for i, c in enumerate("paris rome berlin oslo".split() * 8)]

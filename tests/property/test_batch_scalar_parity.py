@@ -39,7 +39,8 @@ from repro.core.predicates import (
 )
 from repro.exceptions import PredicateError
 from repro.ir import intern
-from repro.ir.batch import BatchLowering, evaluate_batch_naive
+from repro.experiments.bench_disjunction import evaluate_batch_naive
+from repro.ir.batch import BatchLowering
 
 COLUMNS = ("a", "b", "c")
 

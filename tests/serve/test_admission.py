@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import random
 import time
 
 import pytest
@@ -67,6 +68,35 @@ class TestAdmissionController:
     def test_rejects_bad_default_timeout(self):
         with pytest.raises(ValueError, match="default_timeout"):
             AdmissionController(max_pending=1, default_timeout=0)
+
+    def test_rejects_bad_workers(self):
+        with pytest.raises(ValueError, match="workers"):
+            AdmissionController(max_pending=1, workers=0)
+
+    def test_without_deadlines_it_is_the_static_bound(self):
+        """No deadline, no miss: over any admit / release /
+        in-deadline-outcome sequence the limit never leaves
+        ``max_pending``, and the shed is ``QueueFullError`` at exactly
+        ``max_pending`` pending."""
+        rng = random.Random(11)
+        controller = AdmissionController(max_pending=5, workers=2)
+        pending = 0
+        for _ in range(2000):
+            step = rng.choice(("admit", "admit", "release", "outcome"))
+            if step == "admit":
+                if pending == 5:
+                    with pytest.raises(QueueFullError, match="5/5 pending"):
+                        controller.admit(kind="query", deadline=None)
+                else:
+                    controller.admit(kind="query", deadline=None)
+                    pending += 1
+            elif step == "release" and pending:
+                controller.release()
+                pending -= 1
+            elif step == "outcome":
+                controller.record_outcome("query", rng.random(), ok=True)
+            assert controller.limit == 5.0
+            assert controller.pending == pending
 
 
 class TestQueueDepthGauge:
@@ -173,12 +203,13 @@ class TestServiceTimeEstimator:
 
 
 class TestAdaptiveAdmissionController:
-    def _controller(self, **kwargs):
-        from repro.serve import AdaptiveAdmissionController
+    """The deadline-driven half of :class:`AdmissionController`: the
+    AIMD limit and the shed of requests predicted to miss."""
 
+    def _controller(self, **kwargs):
         defaults = dict(max_pending=16, workers=2)
         defaults.update(kwargs)
-        return AdaptiveAdmissionController(**defaults)
+        return AdmissionController(**defaults)
 
     def test_starts_at_the_static_ceiling(self):
         controller = self._controller()
@@ -187,7 +218,7 @@ class TestAdaptiveAdmissionController:
     def test_misses_halve_the_limit_down_to_the_worker_floor(self):
         controller = self._controller()
         controller.record_outcome("query", 0.1, ok=False)
-        assert controller.limit == 8.0
+        assert controller.limit == 8.0  # one miss halves it
         for _ in range(10):
             controller.record_outcome("query", 0.1, ok=False)
         assert controller.limit == 2.0  # floored at workers
@@ -209,7 +240,7 @@ class TestAdaptiveAdmissionController:
             controller.record_outcome("query", 0.1, ok=False)
         assert controller.limit == 1.0
         controller.admit()
-        with pytest.raises(QueueFullError, match="adaptive"):
+        with pytest.raises(QueueFullError, match="1/1 pending, ceiling 4"):
             controller.admit()
         controller.release()
 
@@ -247,12 +278,3 @@ class TestAdaptiveAdmissionController:
         # A queued timeout has no service time but still penalizes.
         controller.record_outcome("query", None, ok=False)
         assert controller.estimator.observations("query") == 1
-
-    def test_base_controller_ignores_kind_and_deadline(self):
-        from repro.serve import Deadline
-
-        controller = AdmissionController(max_pending=2)
-        controller.admit(kind="query", deadline=Deadline(0.001))
-        controller.record_outcome("query", 0.1, ok=False)  # no-op
-        assert controller.pending == 1
-        controller.release()

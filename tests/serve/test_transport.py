@@ -8,13 +8,19 @@ back as the same typed exception an in-process caller would catch.
 from __future__ import annotations
 
 import json
+import socket
+import threading
+import time
+from contextlib import ExitStack
 
 import pytest
 
 from repro.exceptions import (
+    ProtocolError,
     QueueFullError,
     RegistryError,
     RequestTimeoutError,
+    TransportError,
 )
 from repro.serve.engine import (
     DeployRequest,
@@ -22,8 +28,22 @@ from repro.serve.engine import (
     RetireRequest,
     ServeEngine,
 )
+from repro.serve.protocol import (
+    KIND_ERROR,
+    KIND_REQUEST,
+    KIND_RESPONSE,
+    FrameDecoder,
+    decode_error,
+    decode_request,
+    decode_response,
+    encode_frame,
+    encode_request,
+)
+from repro.serve import transport as transport_module
 from repro.serve.transport import (
     LoopbackTransport,
+    SocketServer,
+    SocketTransport,
     TCPServer,
     connect_tcp,
     serve_socketpair,
@@ -187,8 +207,9 @@ class TestTCP:
                 client.close()
         assert images == expected
 
-    def test_many_idle_connections_are_cheap(self, engine, label_queries):
-        """Ten parked clients; one of them still gets served correctly."""
+    def test_last_of_ten_parked_clients_is_served(
+        self, engine, label_queries
+    ):
         with TCPServer(engine) as server:
             host, port = server.address
             clients = [connect_tcp(host, port) for _ in range(10)]
@@ -201,29 +222,246 @@ class TestTCP:
                 for client in clients:
                     client.close()
 
-    def test_corrupt_stream_drops_connection_not_server(
+
+    def test_a_live_client_is_served_beside_parked_connections(
         self, engine, label_queries
     ):
-        """A client speaking garbage loses its connection; others live."""
-        import socket as socketlib
+        """What a parked connection costs the one loop is a descriptor
+        and a blocked reader thread: 150 of them neither starve a live
+        client nor outlive their clients."""
+
+        def server_threads() -> int:  # the accept thread + one per reader
+            return sum(
+                thread.name == "repro-transport-tcp-server"
+                for thread in threading.enumerate()
+            )
+
+        before = server_threads()
+        with TCPServer(engine) as server:
+            parked = [
+                socket.create_connection(server.address) for _ in range(150)
+            ]
+            live = connect_tcp(*server.address)
+            try:
+                result = live.request(
+                    QueryRequest(query=label_queries[0], timeout=10)
+                )
+                assert result.rows_returned >= 0
+                assert server_threads() == before + 152
+            finally:
+                live.close()
+                for sock in parked:
+                    sock.close()
+            deadline = time.monotonic() + 10
+            while (
+                server_threads() > before + 1
+                and time.monotonic() < deadline
+            ):
+                time.sleep(0.02)
+            # Only the accept thread is left: every reader saw EOF.
+            assert server_threads() == before + 1
+
+    def test_stalled_reader_loses_its_connection_not_the_workers(
+        self, engine, label_queries, monkeypatch
+    ):
+        """A peer that sends requests and never reads the answers fills
+        its connection's buffers; whoever writes to it (the reader
+        thread refusing work, the workers answering) waits at most
+        ``SEND_TIMEOUT``, then the server hangs up on that peer and a
+        well-behaved client on another connection is served."""
+        monkeypatch.setattr(transport_module, "SEND_TIMEOUT", 1)
+        total = 1500
+        # Distinct queries, so the answers come from both workers.
+        payloads = [
+            encode_request(QueryRequest(query=query))
+            for query in label_queries
+        ]
+        frames = b"".join(
+            encode_frame(KIND_REQUEST, i, payloads[i % len(payloads)])
+            for i in range(1, total + 1)
+        )
+        with ExitStack() as stack:
+            server = stack.enter_context(TCPServer(engine))
+            stalled = socket.socket()
+            stack.callback(stalled.close)
+            # Small buffers on both ends (an accepted socket inherits
+            # the listener's), so a few dozen answers fill them.
+            stalled.setsockopt(socket.SOL_SOCKET, socket.SO_RCVBUF, 4096)
+            server._listener.setsockopt(
+                socket.SOL_SOCKET, socket.SO_SNDBUF, 4096
+            )
+            stalled.connect(server.address)
+
+            def push():
+                try:
+                    stalled.sendall(frames)
+                except OSError:
+                    pass  # the server hung up on us
+
+            threading.Thread(target=push, daemon=True).start()
+            # Long enough for every writer to that connection (the
+            # reader thread refusing work, both workers) to be stuck.
+            time.sleep(2.5)
+            bystander = connect_tcp(*server.address)
+            stack.callback(bystander.close)
+            deadline = time.monotonic() + 10
+            while True:
+                try:
+                    result = bystander.request(
+                        QueryRequest(query=label_queries[0], timeout=5)
+                    )
+                    break
+                except (QueueFullError, RequestTimeoutError):
+                    # The stalled peer's backlog may still hold the queue.
+                    assert time.monotonic() < deadline, "workers wedged"
+                    time.sleep(0.05)
+            assert result.rows_returned >= 0
+            # ... and the stalled peer was dropped: its stream ends (EOF
+            # or reset) short of its answers once the buffers are read.
+            stalled.settimeout(10)
+            decoder, answered = FrameDecoder(), 0
+            try:
+                while data := stalled.recv(65536):
+                    answered += len(list(decoder.feed(data)))
+            except ConnectionError:
+                pass
+            assert answered < total
+
+    def test_accept_survives_a_transient_error(self, engine, label_queries):
+        """``accept`` failing (a client gone while queued, no free
+        descriptor) must not end accepting for good."""
+
+        class FailsOnce:
+            def __init__(self, listener):
+                self._listener = listener
+                self.failed = threading.Event()
+
+            def accept(self):
+                if not self.failed.is_set():
+                    self.failed.set()
+                    raise OSError(24, "Too many open files")
+                return self._listener.accept()
+
+            def __getattr__(self, attribute):
+                return getattr(self._listener, attribute)
 
         with TCPServer(engine) as server:
-            host, port = server.address
-            raw = socketlib.create_connection((host, port))
-            raw.sendall(b"GET / HTTP/1.1\r\n\r\n")
-            # The server closes the corrupt connection...
-            raw.settimeout(5)
-            assert raw.recv(1) == b""
-            raw.close()
-            # ...and keeps serving well-formed clients.
-            client = connect_tcp(host, port)
+            # Park the accept thread's current call on a throwaway
+            # connection, then swap the listener for the failing one.
+            flaky = FailsOnce(server._listener)
+            server._listener = flaky
+            socket.create_connection(server.address).close()
+            client = connect_tcp(*server.address)
             try:
+                assert flaky.failed.wait(timeout=5)
                 result = client.request(
-                    QueryRequest(query=label_queries[0])
+                    QueryRequest(query=label_queries[0], timeout=10)
                 )
                 assert result.rows_returned >= 0
             finally:
                 client.close()
+
+
+def _served_socket(kind, engine, stack) -> socket.socket:
+    """A connected client socket served over ``kind`` until ``stack`` exits."""
+    if kind == "tcp":
+        server = stack.enter_context(TCPServer(engine))
+        return socket.create_connection(server.address)
+    client_sock, server_sock = socket.socketpair()
+    stack.callback(SocketServer(engine, server_sock).close)
+    return client_sock
+
+
+@pytest.mark.parametrize("kind", ["socketpair", "tcp"])
+def test_corrupt_stream_drops_connection_not_server(
+    kind, engine, label_queries
+):
+    """A client speaking garbage loses its connection — closed by the
+    server, so a request it still has in flight fails instead of
+    waiting forever — and the engine keeps serving everyone else."""
+    request = QueryRequest(query=label_queries[0])
+    with ExitStack() as stack:
+        sock = _served_socket(kind, engine, stack)
+        garbler = SocketTransport(sock, name=kind)
+        stack.callback(garbler.close)
+        sock.sendall(b"\xff" * 64)
+        # Sent after the garbage: never answered.  Either the send
+        # already sees the closed connection or the reader's EOF fails
+        # the future; without the close it would sit out the timeout.
+        with pytest.raises(TransportError):
+            garbler.submit(request).result(timeout=5)
+        bystander = SocketTransport(
+            _served_socket(kind, engine, stack), name=kind
+        )
+        stack.callback(bystander.close)
+        assert bystander.request(request).rows_returned >= 0
+
+
+#: name -> (payload key, value breaking a constructor invariant, the
+#: invariant's own message).
+INVARIANT_BREAKERS = {
+    "empty IN set": (
+        "rel",
+        {"p": "in", "col": "age", "vs": []},
+        "IN set must not be empty",
+    ),
+    "inverted interval": (
+        "rel",
+        {"p": "iv", "col": "age", "lo": 5, "hi": 1, "lc": True, "hc": True},
+        "empty interval",
+    ),
+    "AND without operands": (
+        "rel",
+        {"p": "and", "ops": []},
+        "And requires >= 2 operands",
+    ),
+    "IN mining predicate without labels": (
+        "mine",
+        [{"m": "in", "model": "risk_tree", "labels": []}],
+        "needs at least one label",
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(INVARIANT_BREAKERS))
+def test_well_framed_request_breaking_an_invariant_gets_an_error_frame(
+    name, engine, label_queries
+):
+    """Valid frame, valid JSON, a predicate its constructor refuses: the
+    answer is a typed error frame for that request id, and the
+    connection (with the server loop behind it) serves the next one."""
+    key, value, invariant = INVARIANT_BREAKERS[name]
+    good = encode_request(QueryRequest(query=label_queries[0]))
+    bad = encode_request(QueryRequest(query=label_queries[0]))
+    bad[key] = value
+    with ExitStack() as stack:
+        sock = _served_socket("socketpair", engine, stack)
+        stack.callback(sock.close)
+        sock.settimeout(10)
+        sock.sendall(
+            encode_frame(KIND_REQUEST, 7, bad)
+            + encode_frame(KIND_REQUEST, 8, good)
+        )
+        decoder, frames = FrameDecoder(), []
+        while len(frames) < 2:
+            data = sock.recv(65536)
+            assert data, "server closed the connection"
+            frames.extend(decoder.feed(data))
+    refused, served = frames
+    assert (refused.kind, refused.request_id) == (KIND_ERROR, 7)
+    error = decode_error(refused.payload)
+    assert isinstance(error, ProtocolError)
+    assert invariant in str(error)
+    assert (served.kind, served.request_id) == (KIND_RESPONSE, 8)
+    assert decode_response(served.payload).rows_returned >= 0
+
+
+def test_request_timeout_is_validated_at_decode(engine, label_queries):
+    payload = encode_request(QueryRequest(query=label_queries[0]))
+    for bad in ("x", 0, -1.5, True):
+        payload["timeout"] = bad
+        with pytest.raises(ProtocolError, match="timeout"):
+            decode_request(payload)
 
 
 def test_all_transports_agree(

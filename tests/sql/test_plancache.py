@@ -103,17 +103,6 @@ class TestPlanCache:
         )
         assert cache.stats.hits == 2
 
-    def test_kwargs_order_is_canonicalized(self, catalog):
-        cache = PlanCache()
-        first = cache.get_or_optimize(
-            QUERY, catalog, max_disjuncts=64, max_iterations=2
-        )
-        second = cache.get_or_optimize(
-            QUERY, catalog, max_iterations=2, max_disjuncts=64
-        )
-        assert second is first
-        assert cache.stats.hits == 1
-
     def test_commutative_equivalent_queries_share_an_entry(self, catalog):
         """Regression: ``And(a, b)`` and ``And(b, a)`` are one plan.
 
@@ -154,25 +143,3 @@ class TestPlanCache:
     def test_capacity_validation(self):
         with pytest.raises(ValueError):
             PlanCache(capacity=0)
-
-
-class TestCanonicalKwargs:
-    def test_mixed_type_dict_keys_do_not_raise(self):
-        """``sorted()`` over ``{1: ..., "a": ...}.items()`` raised
-        TypeError (int vs str comparison) and turned a cache lookup into
-        a crash; keys now sort by repr like the set branch."""
-        key = PlanCache._canonical_kwargs({"options": {1: "x", "a": 2}})
-        assert key == PlanCache._canonical_kwargs(
-            {"options": {"a": 2, 1: "x"}}
-        )
-
-    def test_distinct_mixed_key_dicts_are_distinct(self):
-        assert PlanCache._canonical_kwargs(
-            {"options": {1: "x"}}
-        ) != PlanCache._canonical_kwargs({"options": {"1": "x"}})
-
-    def test_nested_values_still_frozen(self):
-        key = PlanCache._canonical_kwargs(
-            {"options": {1: [1, 2], "a": {3, 4}}}
-        )
-        assert hash(key) is not None

@@ -3,6 +3,11 @@
 The optimized path's residual filter already scores (and memoizes) every
 surviving row; :meth:`PredictionJoinExecutor.predictions` must surface
 those memos instead of re-scoring the result rows with ``predict_many``.
+What comes out is checked against the reference semantics: the rows
+whose scalar ``predict`` gives the queried label, carrying that label.
+
+Each test runs with the table in one batch and in 99-row batches
+stitched back together.
 """
 
 import pytest
@@ -73,21 +78,23 @@ def trained():
     return inner, envelopes, feature_rows
 
 
-def build_executor(trained, **executor_kwargs):
+def build_executor(trained, one_batch):
     inner, envelopes, feature_rows = trained
     model = CountingModel(inner)
     catalog = ModelCatalog()
     catalog.register(model, envelopes=envelopes)
     db = Database()
     load_table(db, "customers", feature_rows)
-    executor = PredictionJoinExecutor(db, catalog, **executor_kwargs)
+    assert len(feature_rows) > 2 * 99  # 99-row batches really do stitch
+    batch_size = len(feature_rows) if one_batch else 99
+    executor = PredictionJoinExecutor(db, catalog, batch_size=batch_size)
     return db, executor, model
 
 
-@pytest.mark.parametrize("vectorized", [True, False])
+@pytest.mark.parametrize("one_batch", [True, False])
 @pytest.mark.parametrize("optimize_query", [True, False])
-def test_each_row_scored_at_most_once(trained, vectorized, optimize_query):
-    db, executor, model = build_executor(trained, vectorized=vectorized)
+def test_each_row_scored_at_most_once(trained, one_batch, optimize_query):
+    db, executor, model = build_executor(trained, one_batch)
     try:
         query = MiningQuery(
             "customers",
@@ -106,26 +113,31 @@ def test_each_row_scored_at_most_once(trained, vectorized, optimize_query):
         db.close()
 
 
-@pytest.mark.parametrize("vectorized", [True, False])
-def test_prediction_column_matches_model(trained, vectorized):
-    inner, _, _ = trained
-    db, executor, model = build_executor(trained, vectorized=vectorized)
+@pytest.mark.parametrize("one_batch", [True, False])
+def test_prediction_column_matches_model(trained, one_batch):
+    inner, _, feature_rows = trained
+    db, executor, model = build_executor(trained, one_batch)
     try:
         query = MiningQuery(
             "customers",
             mining_predicates=(PredictionEquals("risk_tree", "high"),),
         )
-        for row in executor.predictions(query):
-            label = row.pop(inner.prediction_column)
-            assert label == "high"
-            assert inner.predict(row) == "high"
+        want = [
+            {**row, inner.prediction_column: "high"}
+            for row in feature_rows
+            if inner.predict(row) == "high"
+        ]
+        assert want
+        assert executor.predictions(query, optimize_query=False) == want
+        by_id = sorted(executor.predictions(query), key=lambda r: r["row_id"])
+        assert by_id == want  # index-driven fetch order may differ
     finally:
         db.close()
 
 
-@pytest.mark.parametrize("vectorized", [True, False])
-def test_two_predicates_on_one_model_share_scores(trained, vectorized):
-    db, executor, model = build_executor(trained, vectorized=vectorized)
+@pytest.mark.parametrize("one_batch", [True, False])
+def test_two_predicates_on_one_model_share_scores(trained, one_batch):
+    db, executor, model = build_executor(trained, one_batch)
     try:
         query = MiningQuery(
             "customers",
@@ -140,10 +152,10 @@ def test_two_predicates_on_one_model_share_scores(trained, vectorized):
         db.close()
 
 
-@pytest.mark.parametrize("vectorized", [True, False])
-def test_report_predictions_align_with_rows(trained, vectorized):
+@pytest.mark.parametrize("one_batch", [True, False])
+def test_report_predictions_align_with_rows(trained, one_batch):
     inner, _, _ = trained
-    db, executor, model = build_executor(trained, vectorized=vectorized)
+    db, executor, model = build_executor(trained, one_batch)
     try:
         query = MiningQuery(
             "customers",

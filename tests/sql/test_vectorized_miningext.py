@@ -1,5 +1,7 @@
-"""Vectorized residual filtering: identity with the scalar path, knobs,
-memoization, and the stripped-envelope columnar prefilter."""
+"""Vectorized residual filtering: identity with the scalar reference
+semantics (``MiningQuery.evaluate``, one ``predict`` per row), the
+batch-size knob, memoization, and the stripped-envelope columnar
+prefilter."""
 
 import pytest
 
@@ -21,7 +23,11 @@ from repro.mining.naive_bayes import NaiveBayesLearner
 from repro.sql.database import Database, load_table
 from repro.sql.miningext import PredictionJoinExecutor
 
-from tests.conftest import CUSTOMER_FEATURES, make_customer_rows
+from tests.conftest import (
+    CUSTOMER_FEATURES,
+    make_customer_rows,
+    reference_rows,
+)
 
 
 @pytest.fixture(scope="module")
@@ -91,42 +97,34 @@ def _executor(db, catalog, **kwargs):
 
 
 class TestScalarVectorizedIdentity:
-    """The vectorized knob must never change the result rows."""
+    """The columnar residual filter returns exactly the rows of the
+    scalar reference semantics, whatever the batch size."""
 
+    # 1 = a batch per row, 7 and 99 = batches stitched back together
+    # (99 leaves a short last one), 2048 = the whole 500-row table in one.
     @pytest.mark.parametrize("query_name", sorted(QUERIES))
     @pytest.mark.parametrize("gate", [0.2, None])
-    @pytest.mark.parametrize("batch_size", [1, 7, 2048])
+    @pytest.mark.parametrize("batch_size", [1, 7, 99, 2048])
     def test_identical_rows(self, db, catalog, query_name, gate, batch_size):
         query = QUERIES[query_name]
-        scalar = _executor(
-            db, catalog, selectivity_gate=gate, vectorized=False
-        )
-        vectorized = _executor(
-            db,
-            catalog,
-            selectivity_gate=gate,
-            vectorized=True,
-            batch_size=batch_size,
+        want = reference_rows(db, catalog, query)
+        executor = _executor(
+            db, catalog, selectivity_gate=gate, batch_size=batch_size
         )
         for execute in ("execute_naive", "execute_optimized"):
-            want = getattr(scalar, execute)(query).rows
-            got = getattr(vectorized, execute)(query).rows
-            # Exact tuple equality: same rows, same order.
+            got = getattr(executor, execute)(query).rows
+            # Exact equality: same rows, same (scan) order — the table
+            # has no index, so the optimized fetch scans too.
             assert got == want
 
     def test_stripped_envelope_prefilter_identity(self, db, catalog):
         # A tiny gate strips every envelope from the SQL, which routes
         # them through the columnar prefilter ahead of model scoring.
         query = QUERIES["multi"]
-        scalar = _executor(
-            db, catalog, selectivity_gate=1e-9, vectorized=False
-        )
-        vectorized = _executor(
-            db, catalog, selectivity_gate=1e-9, vectorized=True
-        )
-        naive = vectorized.execute_naive(query)
-        optimized = vectorized.execute_optimized(query)
-        assert optimized.rows == scalar.execute_optimized(query).rows
+        executor = _executor(db, catalog, selectivity_gate=1e-9)
+        naive = executor.execute_naive(query)
+        optimized = executor.execute_optimized(query)
+        assert optimized.rows == reference_rows(db, catalog, query)
         assert sorted(
             tuple(sorted(r.items())) for r in optimized.rows
         ) == sorted(tuple(sorted(r.items())) for r in naive.rows)
@@ -137,30 +135,20 @@ class TestScalarVectorizedIdentity:
             relational_predicate=Comparison("age", Op.LT, -100),
             mining_predicates=(PredictionEquals("v_tree", "high"),),
         )
-        for vectorized in (False, True):
-            executor = _executor(db, catalog, vectorized=vectorized)
-            assert executor.execute_naive(query).rows == ()
-            assert executor.execute_optimized(query).rows == ()
+        executor = _executor(db, catalog)
+        assert executor.execute_naive(query).rows == ()
+        assert executor.execute_optimized(query).rows == ()
 
 
 class TestKnobs:
     def test_knob_properties(self, db, catalog):
-        executor = _executor(db, catalog, vectorized=True, batch_size=99)
-        assert executor.vectorized is True
-        assert executor.batch_size == 99
-        scalar = _executor(db, catalog, vectorized=False)
-        assert scalar.vectorized is False
+        assert _executor(db, catalog, batch_size=99).batch_size == 99
+        assert _executor(db, catalog).batch_size == 2048
 
     @pytest.mark.parametrize("bad", [0, -3])
     def test_bad_batch_size_rejected(self, db, catalog, bad):
         with pytest.raises(ModelError):
             _executor(db, catalog, batch_size=bad)
-
-    def test_cli_rejects_bad_batch_size(self):
-        from repro.__main__ import main
-
-        with pytest.raises(SystemExit):
-            main(["bench-vectorized", "--batch-size", "0"])
 
 
 class _CountingModel(MiningModel):
@@ -218,9 +206,7 @@ class TestMemoization:
 
     def test_vectorized_one_batch_call_per_chunk(self, db, rows):
         counting, catalog, query = self._counting_setup(rows)
-        executor = _executor(
-            db, catalog, vectorized=True, batch_size=len(rows)
-        )
+        executor = _executor(db, catalog, batch_size=len(rows))
         report = executor.execute_naive(query)
         assert report.rows_fetched == len(rows)
         # Two predicates, one chunk: the memo limits scoring to one call.
@@ -229,18 +215,11 @@ class TestMemoization:
 
     def test_vectorized_chunking_counts(self, db, rows):
         counting, catalog, query = self._counting_setup(rows)
-        executor = _executor(db, catalog, vectorized=True, batch_size=100)
+        executor = _executor(db, catalog, batch_size=100)
         executor.execute_naive(query)
         expected_chunks = -(-len(rows) // 100)
         assert counting.batch_calls == expected_chunks
-
-    def test_scalar_one_predict_per_row(self, db, rows):
-        counting, catalog, query = self._counting_setup(rows)
-        executor = _executor(db, catalog, vectorized=False)
-        executor.execute_naive(query)
-        # The per-row memo shares one prediction across both predicates.
-        assert counting.predict_calls == len(rows)
-        assert counting.batch_calls == 0
+        assert counting.predict_calls == 0
 
     def test_scalar_fallback_model_via_base_batch(self, db, rows):
         """A model without a vectorized kernel still works in batches."""
@@ -288,17 +267,16 @@ class TestMemoization:
             "customers",
             mining_predicates=(PredictionEquals("scalar_only", "high"),),
         )
-        executor = _executor(db, catalog, vectorized=True)
-        scalar_executor = _executor(db, catalog, vectorized=False)
-        assert (
-            executor.execute_naive(query).rows
-            == scalar_executor.execute_naive(query).rows
-        )
+        want = reference_rows(db, catalog, query)
+        assert 0 < len(want) < len(rows)
+        for batch_size in (1, 99, len(rows)):
+            executor = _executor(db, catalog, batch_size=batch_size)
+            assert executor.execute_naive(query).rows == want
 
 
 class TestReportSemantics:
     def test_time_split_preserved(self, db, catalog):
-        executor = _executor(db, catalog, vectorized=True)
+        executor = _executor(db, catalog)
         report = executor.execute_optimized(QUERIES["equals"])
         assert report.sql_seconds >= 0.0
         assert report.model_seconds >= 0.0
@@ -307,10 +285,15 @@ class TestReportSemantics:
         )
         assert report.rows_returned == len(report.rows)
 
-    def test_predictions_augmented_identically(self, db, catalog):
-        vectorized = _executor(db, catalog, vectorized=True)
-        scalar = _executor(db, catalog, vectorized=False)
+    def test_predictions_augmented_identically(self, db, catalog, rows):
         query = QUERIES["equals"]
-        assert vectorized.predictions(query) == scalar.predictions(query)
-        for row in vectorized.predictions(query):
-            assert row["predicted_risk"] == "high"
+        tree = catalog.model("v_tree")
+        # The reference: each surviving row plus one scalar ``predict``.
+        want = [
+            {**row, tree.prediction_column: tree.predict(row)}
+            for row in reference_rows(db, catalog, query)
+        ]
+        assert want and all(r["predicted_risk"] == "high" for r in want)
+        for batch_size in (1, 99, len(rows)):
+            executor = _executor(db, catalog, batch_size=batch_size)
+            assert executor.predictions(query) == want

@@ -22,7 +22,6 @@ SMALLEST = {
     "segment-bench": "--segments 50 --rows 512",
     "calibration-bench": "--passes 2",
     "disjunction-bench": "--rows 512",
-    "bench-vectorized": "",
     "serve-bench": "--workers 1 --requests 20 --transport inproc",
 }
 

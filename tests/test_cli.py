@@ -23,7 +23,6 @@ OWN_FLAGS = {
     **{name: set() for name in (*COMMANDS, *BENCHES)},
     "trace-report": {"--strict"},
     "serve": ENGINE_FLAGS | {"--host", "--port", "--duration"},
-    "bench-vectorized": {"--batch-size"},
     "serve-bench": ENGINE_FLAGS
     | {"--requests", "--transport", "--processes"},
     "load-bench": ENGINE_FLAGS
@@ -114,9 +113,10 @@ class TestSubcommands:
         for name in OWN_FLAGS:
             assert f"{name}:" not in text
 
-    def test_flag_set_is_the_nineteen_of_the_flat_parser(self):
+    def test_flag_set_is_the_eighteen_left_of_the_flat_parser(self):
+        # Its nineteen minus --batch-size, which left with bench-vectorized.
         everything = set().union(SHARED_FLAGS, *OWN_FLAGS.values())
-        assert len(everything - {"--help"}) == 19
+        assert len(everything - {"--help"}) == 18
 
     def test_every_command_is_in_the_docstring_and_readme(self):
         readme = (REPO_ROOT / "README.md").read_text()
@@ -137,7 +137,7 @@ class TestSubcommands:
             "load-bench --rate 0",
             "load-bench --deadline 0",
             "calibration-bench --passes 1",
-            "bench-vectorized --batch-size 0",
+            "bench-vectorized --batch-size 0",  # a retired command is none
             "segment-bench --segments 0",
             "segment-bench --rows 0",
             "disjunction-bench --rows 0",
@@ -153,9 +153,9 @@ class TestSubcommands:
 
     def test_every_ci_command_line_parses(self):
         lines = _ci_command_lines()
-        # tier1's four (bench-vectorized, run, sweep, trace-report), the
-        # six matrix rows, and the matrix job's own trace-report.
-        assert len(lines) == 11
+        # tier1's three (run, sweep, trace-report), the six matrix
+        # rows, and the matrix job's own trace-report.
+        assert len(lines) == 10
         assert {shlex.split(line)[0] for line in lines} >= set(BENCHES) - {
             "bench-parallel"
         }
