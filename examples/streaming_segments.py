@@ -18,7 +18,7 @@ import numpy as np
 from repro import Comparison, Database, DecisionTreeLearner, Op, load_table
 from repro.core.predicates import And, Interval, Or
 from repro.segments import SegmentCatalog
-from repro.serve import ModelRegistry, QueryService
+from repro.serve import MatchRequest, ModelRegistry, ServeEngine
 
 FEATURES = ("age", "income", "visits")
 
@@ -72,13 +72,13 @@ def main() -> None:
         f"catalog: {len(catalog)} segments, version {catalog.version}"
     )
 
-    # Matching runs through the query service: same admission control,
+    # Matching runs through the serving engine: same admission control,
     # collapsing, and batching the prediction-join traffic uses.
     db = Database()
     load_table(db, "events", [dict(row) for row in training[:1]])
-    with QueryService(
+    with ServeEngine(
         db, ModelRegistry(), workers=2, segment_catalog=catalog
-    ) as service:
+    ) as engine:
         total = np.zeros(len(catalog.names()), dtype=int)
         stream = make_events(4_096, seed=11)
         for start in range(0, len(stream), 512):
@@ -86,7 +86,7 @@ def main() -> None:
                 {k: row[k] for k in FEATURES}
                 for row in stream[start : start + 512]
             ]
-            result = service.match_segments(batch)
+            result = engine.execute(MatchRequest(batch))
             for i, name in enumerate(result.segment_names):
                 total[i] += sum(
                     1 for row in result.memberships if name in row

@@ -22,9 +22,6 @@ The benches, each writing one ``BENCH_*.json`` stamped with the
 environment it ran in (table: :data:`repro.experiments.benches.BENCHES`)::
 
     bench-parallel      serial-vs-parallel sweep          (uses --jobs)
-    serve-bench         closed-loop serving, transports, router
-                        [--workers N --requests N --transport K
-                         --processes N --result-ttl S]
     load-bench          open-loop load, admission under overload
                         [--workers N --requests N --transport K
                          --arrivals K --rate RPS --deadline S
@@ -42,6 +39,7 @@ import os
 import sys
 import time
 from collections.abc import Callable
+from contextlib import closing
 from typing import NamedTuple
 
 from repro import obs
@@ -69,7 +67,7 @@ from repro.experiments.config import (
     ExperimentConfig,
     set_default_jobs,
 )
-from repro.serve.bench import ServingFixture, add_engine_arguments
+from repro.serve.fixture import ServingFixture, add_engine_arguments
 from repro.serve.transport import TCPServer
 from repro.sql.miningext import PredictionJoinExecutor
 from repro.sql.plancache import PlanCache
@@ -183,6 +181,17 @@ def _run_lifecycle(
         loaded.db.close()
 
 
+def _port(text: str) -> int:
+    """An argparse ``type=`` accepting a TCP port, 0 (ephemeral) to 65535."""
+    value = int(text)
+    if not 0 <= value <= 65535:
+        raise argparse.ArgumentTypeError(f"must be 0-65535, got {value}")
+    return value
+
+
+_port.__name__ = "int"  # argparse names the type in its error text
+
+
 def _serve_arguments(parser: argparse.ArgumentParser) -> None:
     add_engine_arguments(parser)
     parser.add_argument(
@@ -193,7 +202,7 @@ def _serve_arguments(parser: argparse.ArgumentParser) -> None:
     )
     parser.add_argument(
         "--port",
-        type=int,
+        type=_port,
         default=0,
         metavar="N",
         help="TCP port to bind (default: 0 = ephemeral)",
@@ -214,28 +223,32 @@ def _serve(config: ExperimentConfig, args: argparse.Namespace) -> None:
     models deployed, serving framed-protocol requests on
     ``--host``/``--port`` until ``--duration`` elapses (or forever).
     """
-    fixture = ServingFixture(config)
-    engine = fixture.engine(args.workers, result_ttl=args.result_ttl)
-    server = TCPServer(engine, host=args.host, port=args.port)
-    host, port = server.address
-    print(
-        f"serving {fixture.loaded.dataset.name} "
-        f"({fixture.loaded.rows_total} rows, models: "
-        f"{', '.join(fixture.registry.deployed_names())}) on {host}:{port}"
-    )
-    try:
-        if args.duration is not None:
-            time.sleep(args.duration)
-        else:  # pragma: no cover - interactive mode
-            while True:
-                time.sleep(3600)
-    except KeyboardInterrupt:  # pragma: no cover - interactive mode
-        pass
-    finally:
-        server.close()
-        engine.shutdown()
-        fixture.close()
-        print("serve: shut down cleanly")
+    # The server is built inside the ``with``: a bind that fails (port
+    # taken, bad host) raises its TransportError through both exits, so
+    # the engine's workers still stop and the database still closes.
+    with closing(ServingFixture(config)) as fixture:
+        try:
+            with (
+                fixture.engine(
+                    args.workers, result_ttl=args.result_ttl
+                ) as engine,
+                TCPServer(engine, host=args.host, port=args.port) as server,
+            ):
+                host, port = server.address
+                print(
+                    f"serving {fixture.loaded.dataset.name} "
+                    f"({fixture.loaded.rows_total} rows, models: "
+                    f"{', '.join(fixture.registry.deployed_names())}) "
+                    f"on {host}:{port}"
+                )
+                if args.duration is not None:
+                    time.sleep(args.duration)
+                else:  # pragma: no cover - interactive mode
+                    while True:
+                        time.sleep(3600)
+        except KeyboardInterrupt:  # pragma: no cover - interactive mode
+            pass
+    print("serve: shut down cleanly")
 
 
 def _trace_report_arguments(parser: argparse.ArgumentParser) -> None:

@@ -51,7 +51,6 @@ BENCHES: dict[str, Bench] = {
     "bench-parallel": Bench(
         "repro.experiments.parallel", "BENCH_parallel_sweep.json"
     ),
-    "serve-bench": Bench("repro.serve.bench", "BENCH_serving.json"),
     "load-bench": Bench("repro.load.bench", "BENCH_load.json"),
     "segment-bench": Bench(
         "repro.segments.bench", "BENCH_segment_matching.json"
@@ -139,11 +138,11 @@ def row_batches(
     ]
 
 
-def _git_sha() -> str | None:
-    """HEAD of the checkout this package runs from, or ``None``."""
+def _git(*command: str) -> str | None:
+    """Output of one git command in this package's checkout, or ``None``."""
     try:
         completed = subprocess.run(
-            ["git", "rev-parse", "HEAD"],
+            ["git", *command],
             cwd=Path(__file__).parent,
             capture_output=True,
             text=True,
@@ -152,15 +151,22 @@ def _git_sha() -> str | None:
         )
     except (OSError, subprocess.SubprocessError):
         return None
-    return completed.stdout.strip() or None
+    return completed.stdout.strip()
 
 
 def write_report(
     report: dict, path: str | Path, config: ExperimentConfig, scale: str
 ) -> Path:
-    """Stamp ``report`` with its environment and write it to ``path``."""
+    """Stamp ``report`` with its environment and write it to ``path``.
+
+    ``dirty`` says whether the checkout differed from ``git_sha`` when
+    the bench ran (``None`` outside a git checkout): a run that precedes
+    its commit carries the parent's SHA, and must say so.
+    """
+    status = _git("status", "--porcelain")
     report["environment"] = {
-        "git_sha": _git_sha(),
+        "git_sha": _git("rev-parse", "HEAD") or None,
+        "dirty": None if status is None else bool(status),
         "cpu_count": os.cpu_count(),
         "python": platform.python_version(),
         "numpy": np.__version__,

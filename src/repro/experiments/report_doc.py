@@ -288,8 +288,9 @@ def render_experiments_md(config: ExperimentConfig = DEFAULT_CONFIG) -> str:
         "both produce the same measurement set "
         "(`BENCH_parallel_sweep.json`).\n"
         "- **One bench harness**: every `BENCH_*.json` is written by one "
-        "writer that stamps an `environment` block (git SHA, `cpu_count`, "
-        "Python and numpy versions, scale, seed); each bench is a "
+        "writer that stamps an `environment` block (git SHA and whether "
+        "the checkout was `dirty`, `cpu_count`, Python and numpy "
+        "versions, scale, seed); each bench is a "
         "subcommand with its own flags (`python -m repro COMMAND "
         "--help`), and under `--trace DIR` `trace-report` renders that "
         "bench's section.\n"
@@ -313,9 +314,9 @@ def render_experiments_md(config: ExperimentConfig = DEFAULT_CONFIG) -> str:
         "seeded arrival schedules (`--arrivals "
         "{constant,poisson,burst,ramp}`) fired at pre-computed "
         "timestamps whether or not earlier requests completed, latency "
-        "charged from the scheduled time (a closed-loop client like "
-        "`serve-bench` slows to the service rate and cannot observe "
-        "overload). Capacity is *measured* by a closed-loop probe at the "
+        "charged from the scheduled time (a closed-loop client, which "
+        "waits for each answer before it asks again, slows to the "
+        "service rate and cannot observe overload). Capacity is *measured* by a closed-loop probe at the "
         "configured worker count, not modelled from a serial one; the "
         "deadline and rates derive from it. Same-seed schedules must "
         "replay float-identically with byte-identical rows, then the "

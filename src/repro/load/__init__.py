@@ -4,8 +4,8 @@ A closed-loop benchmark (issue, wait, issue again) silently slows its
 own offered load down whenever the server slows — the *coordinated
 omission* artifact — so it cannot answer the question serving actually
 has to answer: what happens when traffic keeps arriving at a rate the
-service does not control?  This package is the open-loop counterpart to
-:mod:`repro.serve.bench`:
+service does not control?  This package is the open-loop harness over
+the serving fixture (:mod:`repro.serve.fixture`):
 
 * :mod:`repro.load.arrivals` — seeded, deterministic arrival processes
   (constant / poisson / burst / ramp) materialized as absolute issue

@@ -1,7 +1,7 @@
 """The ``load-bench`` CLI artifact (``BENCH_load.json``).
 
-Open-loop counterpart to :mod:`repro.serve.bench`, answering the two
-questions closed-loop replay cannot:
+Open-loop replay against the serving fixture, answering the two
+questions a closed-loop client (issue, wait, issue again) cannot:
 
 1. **Is the harness itself deterministic?**  The same seed must produce
    the identical arrival schedule (same offsets, float-for-float) and —
@@ -30,18 +30,22 @@ bounded queue alone *must* strand requests in queue past their
 deadlines under overload.
 
 The dataset, deployed models, queries, router bootstrap and transport
-switch are :mod:`repro.serve.bench`'s :class:`ServingFixture` and
-:func:`open_transport`; this module only adds the open-loop replay.
+switch are :mod:`repro.serve.fixture`'s :class:`ServingFixture` and
+:func:`open_transport`; this module adds the open-loop replay and the
+closed-loop capacity probe that sizes it.
 """
 
 from __future__ import annotations
 
 import argparse
 import time
+from collections import deque
+from concurrent.futures import FIRST_COMPLETED, Future, wait
 from contextlib import closing
 from dataclasses import dataclass
 
 from repro import obs
+from repro.core.optimizer import MiningQuery
 from repro.exceptions import ReproError
 from repro.experiments.benches import (
     count_flag,
@@ -56,13 +60,12 @@ from repro.load.arrivals import (
 )
 from repro.load.runner import LoadResult, run_load
 from repro.load.slo import SLOReport, summarize_load
-from repro.serve.bench import (
+from repro.serve.engine import QueryRequest, ServeResult
+from repro.serve.fixture import (
     ServingFixture,
     add_engine_arguments,
     open_transport,
-    replay_closed_loop,
 )
-from repro.serve.engine import QueryRequest
 from repro.serve.transport import Transport
 
 __all__ = ["calibrate", "run_load_bench"]
@@ -109,6 +112,29 @@ def calibrate(
         DETERMINISM_FRACTION * capacity / peak_factor,
         OVERLOAD_FACTOR * capacity,
     )
+
+
+def replay_closed_loop(
+    transport: Transport,
+    queries: list[MiningQuery],
+    schedule: list[int],
+    window: int,
+) -> tuple[list[ServeResult], float]:
+    """Replay the schedule through ``transport``, ``window`` in flight."""
+    requests = [QueryRequest(query) for query in queries]
+    ordered: list[Future] = []
+    inflight: "deque[Future]" = deque()
+    started = time.perf_counter()
+    for index in schedule:
+        if len(inflight) >= window:
+            done, _ = wait(inflight, return_when=FIRST_COMPLETED)
+            for future in done:
+                inflight.remove(future)
+        future = transport.submit(requests[index])
+        ordered.append(future)
+        inflight.append(future)
+    results = [future.result() for future in ordered]
+    return results, time.perf_counter() - started
 
 
 def _probe(

@@ -40,17 +40,19 @@ the service does* is independent of *how bytes reach it*:
   to N worker *processes* (one socketpair each), broadcasts
   deploy/retire as version-stamped catalog messages, fails in-flight
   requests of dead workers with typed errors, and respawns them.
-* :mod:`repro.serve.service` — :class:`QueryService`: the embedded
-  facade (the original public API), a thin veneer over
-  :class:`ServeEngine` through the loopback transport.  Given a
-  :class:`~repro.segments.catalog.SegmentCatalog`, it also serves
-  ``match_segments`` — the segment-matching workload of
-  :mod:`repro.segments` — through the same admission controller,
-  collapsing, and a dedicated match batcher.
-* :mod:`repro.serve.bench` — the ``serve-bench`` CLI artifact
-  (``BENCH_serving.json``), including the transport/router byte-identity
-  matrix, and the serving fixture, router bootstrap and transport
-  switch that ``load-bench`` and the ``serve`` subcommand share.
+* :mod:`repro.serve.fixture` — the serving fixture, router bootstrap
+  and transport switch that ``load-bench`` and the ``serve`` subcommand
+  share.
+
+In process there are two ways to call one engine, and they are the two
+ends of the transport seam: ``engine.execute(QueryRequest(query))`` /
+``engine.submit(...)`` directly, or the same typed request through a
+:class:`LoopbackTransport` when the caller should not care which
+transport it holds.  Given a
+:class:`~repro.segments.catalog.SegmentCatalog`, the engine also serves
+:class:`MatchRequest` — the segment-matching workload of
+:mod:`repro.segments` — through the same admission controller,
+collapsing, and a dedicated match batcher.
 
 Everything emits ``serve.*`` spans/counters/gauges through
 :mod:`repro.obs`; ``trace-report`` renders them as dedicated "Serving"
@@ -79,7 +81,6 @@ from repro.serve.engine import (
 from repro.serve.pool import ConnectionPool
 from repro.serve.registry import ModelRegistry, ModelVersion, model_fingerprint
 from repro.serve.router import ProcessRouter
-from repro.serve.service import QueryService
 from repro.serve.transport import (
     LoopbackTransport,
     RetryingTransport,
@@ -106,7 +107,6 @@ __all__ = [
     "ModelVersion",
     "ProcessRouter",
     "QueryRequest",
-    "QueryService",
     "ResultCache",
     "RetireRequest",
     "RetireResult",

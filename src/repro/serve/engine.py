@@ -3,10 +3,9 @@
 :class:`ServeEngine` is *what the service does*, with no opinion about
 how bytes reach it: requests are admitted (bounded, with deadlines),
 queued, collapsed onto structurally identical in-flight executions, and
-executed by a pool of worker threads over shared caches — exactly the
-behavior the PR-5 ``QueryService`` monolith had, now speaking **typed
-request/response dataclasses** so any transport adapter
-(:mod:`repro.serve.transport`) can drive it:
+executed by a pool of worker threads over shared caches, speaking
+**typed request/response dataclasses** so an in-process caller and any
+transport adapter (:mod:`repro.serve.transport`) drive it the same way:
 
 * :class:`QueryRequest` -> :class:`ServeResult` — one prediction join,
 * :class:`MatchRequest` -> :class:`SegmentMatchResult` — one
@@ -25,9 +24,19 @@ cacheable is shared: one thread-safe
 :class:`~repro.sql.plancache.PlanCache`, one table-statistics cache, one
 :class:`~repro.sql.calibration.CalibrationStore`, one
 :class:`~repro.serve.batcher.MicroBatcher`, and the registry's live
-catalog.  See :mod:`repro.serve.service` for the collapsing and
-bit-identity contracts — the facade there is a thin veneer over this
-engine and preserves them verbatim.
+catalog.
+
+Two contracts hold for every caller and every transport.  *Collapsing*:
+a request structurally identical to one **currently executing** (same
+table, same relational-predicate fingerprint, same mining predicates,
+same model catalog versions, same strategy) does not execute again — it
+waits for the in-flight execution and receives the same result rows.
+*Bit-identity*: results equal serial execution by construction, because
+every worker runs the same executor over the same read-only data, and
+shared caches are either keyed exactly (plans, stats) or
+row-independent (micro-batching); the stress suite verifies
+byte-identical row sets under concurrency, timeouts, cache eviction,
+and across every transport and router process count.
 
 Construction is **leak-safe**: if any constructor step raises, every
 resource already created (connection pool, batcher threads, worker

@@ -6,9 +6,9 @@ onto it.  Three adapters, one client API
 (:meth:`Transport.submit` / :meth:`Transport.request` /
 :meth:`Transport.control`):
 
-* :class:`LoopbackTransport` — in-process, no serialization.  The
-  public :class:`~repro.serve.service.QueryService` facade sits on
-  this, so embedded serving pays zero new cost and keeps full
+* :class:`LoopbackTransport` — in-process, no serialization: the
+  engine's own ``submit`` / ``execute`` behind the client API, so
+  embedded serving pays zero new cost and keeps full
   :class:`~repro.sql.miningext.ExecutionReport` objects.
 * :class:`SocketTransport` over a ``socket.socketpair()`` — the framed
   wire protocol without networking, used by the multi-process router

@@ -1,4 +1,4 @@
-"""QueryService.match_segments: admission, collapsing, coalescing."""
+"""MatchRequest through ServeEngine: admission, collapsing, coalescing."""
 
 import threading
 
@@ -13,7 +13,7 @@ from repro.exceptions import (
     ServiceStoppedError,
 )
 from repro.segments import MatchBatcher, SegmentCatalog
-from repro.serve import ModelRegistry, QueryService
+from repro.serve import MatchRequest, ModelRegistry, ServeEngine
 from repro.sql.database import Database, load_table
 
 from tests.conftest import make_customer_rows
@@ -39,7 +39,7 @@ def db():
 
 
 def service_for(db, catalog, **kwargs):
-    return QueryService(
+    return ServeEngine(
         db,
         ModelRegistry(),
         segment_catalog=catalog,
@@ -51,7 +51,7 @@ class TestEndpoint:
     def test_match_equals_direct_evaluation(self, db, catalog):
         rows = make_customer_rows(50, seed=21)
         with service_for(db, catalog, workers=2) as service:
-            result = service.match_segments(rows)
+            result = service.execute(MatchRequest(rows))
         expected = tuple(
             tuple(
                 d.name
@@ -69,7 +69,9 @@ class TestEndpoint:
     def test_segment_subset(self, db, catalog):
         rows = make_customer_rows(10, seed=22)
         with service_for(db, catalog, workers=1) as service:
-            result = service.match_segments(rows, segments=["affluent"])
+            result = service.execute(
+                MatchRequest(rows, segments=["affluent"])
+            )
         assert result.segment_names == ("affluent",)
         for row, members in zip(rows, result.memberships):
             assert members == (
@@ -77,15 +79,15 @@ class TestEndpoint:
             )
 
     def test_without_catalog_raises_typed(self, db):
-        with QueryService(db, ModelRegistry(), workers=1) as service:
+        with ServeEngine(db, ModelRegistry(), workers=1) as service:
             with pytest.raises(ServeError, match="segment catalog"):
-                service.match_segments([{"age": 1}])
+                service.execute(MatchRequest([{"age": 1}]))
 
     def test_after_shutdown_raises_stopped(self, db, catalog):
         service = service_for(db, catalog, workers=1)
         service.shutdown()
         with pytest.raises(ServiceStoppedError):
-            service.match_segments([{"age": 1}])
+            service.execute(MatchRequest([{"age": 1}]))
 
     def test_shares_admission_budget_with_queries(self, db, catalog):
         # max_pending bounds matches too: saturate with a held worker.
@@ -102,10 +104,10 @@ class TestEndpoint:
                     gate.wait(timeout=5)
                     return super().__iter__()
 
-            first = service.submit_match(_SlowRows(blocker_rows))
+            first = service.submit(MatchRequest(_SlowRows(blocker_rows)))
             with pytest.raises(QueueFullError):
                 for _ in range(3):
-                    service.submit_match(rows)
+                    service.submit(MatchRequest(rows))
             gate.set()
             first.result(timeout=5)
 
@@ -122,13 +124,15 @@ class TestEndpoint:
         with service_for(
             db, catalog, workers=1, collapsing=False
         ) as service:
-            blocker = service.submit_match(
-                _SlowRows([{"age": 1, "income": 1.0}])
+            blocker = service.submit(
+                MatchRequest(_SlowRows([{"age": 1, "income": 1.0}]))
             )
             try:
                 with pytest.raises(RequestTimeoutError):
-                    service.match_segments(
-                        [{"age": 2, "income": 2.0}], timeout=0.05
+                    service.execute(
+                        MatchRequest(
+                            [{"age": 2, "income": 2.0}], timeout=0.05
+                        )
                     )
             finally:
                 gate.set()
@@ -139,7 +143,9 @@ class TestCollapsing:
     def test_identical_inflight_requests_collapse(self, db, catalog):
         rows = make_customer_rows(30, seed=23)
         with service_for(db, catalog, workers=2) as service:
-            futures = [service.submit_match(rows) for _ in range(10)]
+            futures = [
+                service.submit(MatchRequest(rows)) for _ in range(10)
+            ]
             results = [future.result(timeout=10) for future in futures]
         assert len({r.memberships for r in results}) == 1
         collapsed = sum(1 for r in results if r.collapsed)
@@ -148,8 +154,12 @@ class TestCollapsing:
 
     def test_different_rows_do_not_collapse(self, db, catalog):
         with service_for(db, catalog, workers=1) as service:
-            a = service.match_segments([{"age": 50, "income": 80_000.0}])
-            b = service.match_segments([{"age": 20, "income": 1_000.0}])
+            a = service.execute(
+                MatchRequest([{"age": 50, "income": 80_000.0}])
+            )
+            b = service.execute(
+                MatchRequest([{"age": 20, "income": 1_000.0}])
+            )
         assert a.memberships != b.memberships
         assert not a.collapsed and not b.collapsed
 
@@ -160,7 +170,7 @@ class TestCollapsing:
         rows_b = [{"income": 80_000.0, "age": 50}]  # same content
         with service_for(db, catalog, workers=2) as service:
             futures = [
-                service.submit_match(rows_a if i % 2 else rows_b)
+                service.submit(MatchRequest(rows_a if i % 2 else rows_b))
                 for i in range(8)
             ]
             results = [f.result(timeout=10) for f in futures]
@@ -168,12 +178,10 @@ class TestCollapsing:
 
     def test_collapse_key_is_columnar_and_content_exact(self, db, catalog):
         from repro.core.columns import RowSet
-        from repro.serve import MatchRequest
-
         rows = [{"age": 50, "income": 8.5}, {"age": 20, "income": 1.5}]
         reordered = [{"income": r["income"], "age": r["age"]} for r in rows]
         with service_for(db, catalog, workers=1) as service:
-            key = service.engine._collapse_key
+            key = service._collapse_key
             base = key(MatchRequest(rows))
             assert base == key(MatchRequest(tuple(reordered)))
             assert base == key(MatchRequest(RowSet.from_rows(rows)))
@@ -194,19 +202,18 @@ class TestCollapsing:
             assert key(MatchRequest(ragged)) != key(MatchRequest(ragged[::-1]))
             assert key(MatchRequest(ragged)) != base
             with pytest.raises(PredicateError, match="income"):
-                service.match_segments(ragged)
+                service.execute(MatchRequest(ragged))
 
     def test_ragged_rows_behave_the_same_over_the_wire(self, db, catalog):
         """Loopback and a byte transport serve the same ragged request the
         same way: matched when the segments only read shared columns,
         the same typed error when a row lacks one they read."""
-        from repro.serve import MatchRequest
         from repro.serve.transport import LoopbackTransport, serve_socketpair
 
         ragged = [{"age": 50, "income": 8.5}, {"age": 20}]
         with service_for(db, catalog, workers=1) as service:
-            loopback = LoopbackTransport(service.engine)
-            client, server = serve_socketpair(service.engine)
+            loopback = LoopbackTransport(service)
+            client, server = serve_socketpair(service)
             try:
                 for transport in (loopback, client):
                     result = transport.request(

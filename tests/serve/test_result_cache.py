@@ -6,7 +6,7 @@ import time
 
 import pytest
 
-from repro.serve import QueryService, ResultCache
+from repro.serve import QueryRequest, ResultCache, ServeEngine
 
 
 class TestResultCacheUnit:
@@ -53,56 +53,56 @@ class TestResultCacheUnit:
 
 class TestEngineIntegration:
     def test_off_by_default(self, serve_db, deployed_registry):
-        with QueryService(serve_db, deployed_registry, workers=1) as svc:
-            assert svc.engine.result_cache is None
+        with ServeEngine(serve_db, deployed_registry, workers=1) as svc:
+            assert svc.result_cache is None
 
     def test_repeat_query_is_served_from_cache(
         self, serve_db, deployed_registry, label_queries
     ):
-        with QueryService(
+        with ServeEngine(
             serve_db, deployed_registry, workers=1, result_ttl=60.0
         ) as service:
-            cache = service.engine.result_cache
-            first = service.execute(label_queries[0])
+            cache = service.result_cache
+            first = service.execute(QueryRequest(label_queries[0]))
             assert cache.hits == 0
-            second = service.execute(label_queries[0])
+            second = service.execute(QueryRequest(label_queries[0]))
             # The cached hit returns the original result object, so
             # byte-identity is free.
             assert second is first
             assert cache.hits == 1
             # A different query is its own entry.
-            other = service.execute(label_queries[1])
+            other = service.execute(QueryRequest(label_queries[1]))
             assert other is not first
             assert other.rows != first.rows or other is not first
 
     def test_expired_entry_re_executes(
         self, serve_db, deployed_registry, label_queries
     ):
-        with QueryService(
+        with ServeEngine(
             serve_db, deployed_registry, workers=1, result_ttl=0.05
         ) as service:
-            first = service.execute(label_queries[0])
+            first = service.execute(QueryRequest(label_queries[0]))
             time.sleep(0.1)
-            second = service.execute(label_queries[0])
+            second = service.execute(QueryRequest(label_queries[0]))
             assert second is not first
             assert second.rows == first.rows  # still bit-identical
-            assert service.engine.result_cache.hits == 0
+            assert service.result_cache.hits == 0
 
     def test_cached_hits_bypass_admission(
         self, serve_db, deployed_registry, label_queries
     ):
-        with QueryService(
+        with ServeEngine(
             serve_db,
             deployed_registry,
             workers=1,
             max_pending=1,
             result_ttl=60.0,
         ) as service:
-            service.execute(label_queries[0])
+            service.execute(QueryRequest(label_queries[0]))
             # A cached request resolves synchronously without taking the
             # single queue slot: submit many at once and none sheds.
             futures = [
-                service.submit(label_queries[0]) for _ in range(8)
+                service.submit(QueryRequest(label_queries[0])) for _ in range(8)
             ]
             results = [f.result(timeout=10) for f in futures]
             assert all(r is results[0] for r in results)

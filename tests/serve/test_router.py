@@ -17,9 +17,11 @@ import time
 import pytest
 
 from repro.core.optimizer import MiningQuery
+from repro.core.predicates import TRUE, Comparison, Op
 from repro.core.rewrite import PredictionEquals
 from repro.exceptions import ServeError, WorkerCrashedError
 from repro.mining.decision_tree import DecisionTreeLearner
+from repro.mining.naive_bayes import NaiveBayesLearner
 from repro.serve.engine import (
     DeployRequest,
     QueryRequest,
@@ -71,23 +73,41 @@ def router_tree():
 
 
 @pytest.fixture(scope="module")
-def router_queries(router_tree):
+def router_models(router_tree):
+    """Two model families: the tree and a naive Bayes beside it."""
+    nb = NaiveBayesLearner(
+        CUSTOMER_FEATURES, "risk", bins=5, name="router_nb"
+    ).fit(make_customer_rows(ROWS, seed=SEED))
+    return [router_tree, nb]
+
+
+@pytest.fixture(scope="module")
+def router_queries(router_models):
+    """Per ``(model, label)``: the bare prediction join and a variant
+    under a relational range predicate (the median age)."""
+    ages = sorted(row["age"] for row in make_customer_rows(ROWS, seed=SEED))
+    median = Comparison("age", Op.LE, ages[len(ages) // 2])
     return [
         MiningQuery(
             "customers",
-            mining_predicates=(PredictionEquals("router_tree", label),),
+            relational_predicate=relational,
+            mining_predicates=(PredictionEquals(model.name, label),),
         )
-        for label in sorted(router_tree.class_labels, key=str)
+        for model in router_models
+        for label in sorted(model.class_labels, key=str)
+        for relational in (TRUE, median)
     ]
 
 
 @pytest.fixture(scope="module")
-def expected_images(router_tree, router_queries):
+def expected_images(router_models, router_queries):
     db = build_database()
     registry = ModelRegistry(max_nodes=150)
-    registry.register(router_tree, deploy=True)
+    for model in router_models:
+        registry.register(model, deploy=True)
     executor = PredictionJoinExecutor(db, registry.catalog)
-    schedule = schedule_for(router_queries, 18)
+    schedule = schedule_for(router_queries, 24)
+    assert set(schedule) == set(range(len(router_queries)))
     images = [
         byte_image(executor.execute(router_queries[i]).rows)
         for i in schedule
@@ -96,18 +116,21 @@ def expected_images(router_tree, router_queries):
     return schedule, images
 
 
-def deploy_through(router, router_tree):
-    return router.control(DeployRequest(model=router_tree.to_dict()))
+def deploy_through(router, *models):
+    """Broadcast each model's deployment; the last one's result."""
+    for model in models:
+        deployed = router.control(DeployRequest(model=model.to_dict()))
+    return deployed
 
 
 @pytest.mark.parametrize("processes", [1, 2])
 def test_byte_identical_across_process_counts(
-    processes, router_tree, router_queries, expected_images
+    processes, router_models, router_queries, expected_images
 ):
     schedule, expected = expected_images
     with ProcessRouter(bootstrap, processes=processes) as router:
-        deployed = deploy_through(router, router_tree)
-        assert deployed.name == "router_tree"
+        deployed = deploy_through(router, *router_models)
+        assert deployed.name == "router_nb"
         futures = [
             router.submit(QueryRequest(query=router_queries[i]))
             for i in schedule
@@ -183,11 +206,13 @@ def test_closed_router_is_typed(router_queries):
 
 
 def test_transport_matrix_byte_identical(
-    router_tree, router_queries, expected_images
+    router_models, router_queries, expected_images
 ):
-    """The acceptance gate: one deterministic request schedule returns
-    byte-identical results across in-process, socketpair, TCP, and
-    1/2/4-process router configurations."""
+    """The acceptance gate: one deterministic request schedule over two
+    model families, with and without a relational range predicate,
+    returns byte-identical results across in-process, socketpair, TCP,
+    and 1/2/4-process router configurations, and the engine drops
+    nothing on the way."""
     from repro.serve.transport import (
         LoopbackTransport,
         TCPServer,
@@ -206,7 +231,7 @@ def test_transport_matrix_byte_identical(
 
     images = {}
     with bootstrap() as engine:
-        engine.control(DeployRequest(model=router_tree.to_dict()))
+        deploy_through(engine, *router_models)
         images["inproc"] = run(LoopbackTransport(engine))
         client, server = serve_socketpair(engine)
         try:
@@ -221,9 +246,12 @@ def test_transport_matrix_byte_identical(
                 images["tcp"] = run(tcp_client)
             finally:
                 tcp_client.close()
+        stats = engine.stats.snapshot()
+    assert stats["shed"] == stats["timeouts"] == stats["errors"] == 0
+    assert stats["completed"] + stats["collapsed"] == 3 * len(schedule)
     for processes in (1, 2, 4):
         with ProcessRouter(bootstrap, processes=processes) as router:
-            deploy_through(router, router_tree)
+            deploy_through(router, *router_models)
             images[f"router-{processes}"] = run(router)
     for name, result in images.items():
         assert result == expected, f"{name} diverged from serial"

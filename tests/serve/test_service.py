@@ -1,4 +1,5 @@
-"""QueryService behavior: correctness, collapsing, timeouts, shutdown."""
+"""ServeEngine called in process: correctness, collapsing, timeouts,
+shutdown."""
 
 from __future__ import annotations
 
@@ -15,7 +16,7 @@ from repro.exceptions import (
     RequestTimeoutError,
     ServiceStoppedError,
 )
-from repro.serve import ModelRegistry, QueryService
+from repro.serve import ModelRegistry, QueryRequest, ServeEngine
 from repro.sql.miningext import PredictionJoinExecutor
 
 
@@ -51,9 +52,9 @@ class TestExecution:
         self, serve_db, deployed_registry, label_queries
     ):
         expected = serial_rows(serve_db, deployed_registry, label_queries)
-        with QueryService(serve_db, deployed_registry, workers=3) as svc:
+        with ServeEngine(serve_db, deployed_registry, workers=3) as svc:
             for query, rows in zip(label_queries, expected):
-                result = svc.execute(query)
+                result = svc.execute(QueryRequest(query))
                 assert result.rows == rows
                 assert result.strategy in ("optimized", "extract-and-mine")
                 assert result.report is not None
@@ -62,11 +63,11 @@ class TestExecution:
         self, serve_db, deployed_registry, label_queries
     ):
         expected = serial_rows(serve_db, deployed_registry, label_queries)
-        with QueryService(
+        with ServeEngine(
             serve_db, deployed_registry, workers=4, max_pending=64
         ) as svc:
             futures = [
-                svc.submit(label_queries[i % len(label_queries)])
+                svc.submit(QueryRequest(label_queries[i % len(label_queries)]))
                 for i in range(30)
             ]
             for i, future in enumerate(futures):
@@ -85,8 +86,8 @@ class TestExecution:
             serve_db, deployed_registry.catalog
         )
         expected = executor.execute(query, optimize_query=False).rows
-        with QueryService(serve_db, deployed_registry, workers=2) as svc:
-            result = svc.execute(query, optimize=False)
+        with ServeEngine(serve_db, deployed_registry, workers=2) as svc:
+            result = svc.execute(QueryRequest(query, optimize=False))
             assert result.rows == expected
             assert result.strategy == "extract-and-mine"
 
@@ -100,11 +101,13 @@ class TestCollapsing:
         expected = PredictionJoinExecutor(
             serve_db, deployed_registry.catalog
         ).execute_optimized(label_queries[0]).rows
-        svc = QueryService(serve_db, deployed_registry, workers=1)
+        svc = ServeEngine(serve_db, deployed_registry, workers=1)
         try:
-            first = svc.submit(label_queries[0])
+            first = svc.submit(QueryRequest(label_queries[0]))
             assert started.wait(timeout=5)  # now executing
-            duplicates = [svc.submit(label_queries[0]) for _ in range(3)]
+            duplicates = [
+                svc.submit(QueryRequest(label_queries[0])) for _ in range(3)
+            ]
             release.set()
             assert first.result(timeout=10).rows == expected
             for future in duplicates:
@@ -120,11 +123,11 @@ class TestCollapsing:
         self, serve_db, deployed_registry, label_queries, gate
     ):
         release, started = gate
-        svc = QueryService(serve_db, deployed_registry, workers=1)
+        svc = ServeEngine(serve_db, deployed_registry, workers=1)
         try:
-            svc.submit(label_queries[0])
+            svc.submit(QueryRequest(label_queries[0]))
             assert started.wait(timeout=5)
-            other = svc.submit(label_queries[1])
+            other = svc.submit(QueryRequest(label_queries[1]))
             release.set()
             assert not other.result(timeout=10).collapsed
             assert svc.stats.collapsed == 0
@@ -135,13 +138,13 @@ class TestCollapsing:
         self, serve_db, deployed_registry, label_queries, gate
     ):
         release, started = gate
-        svc = QueryService(
+        svc = ServeEngine(
             serve_db, deployed_registry, workers=1, collapsing=False
         )
         try:
-            svc.submit(label_queries[0])
+            svc.submit(QueryRequest(label_queries[0]))
             assert started.wait(timeout=5)
-            duplicate = svc.submit(label_queries[0])
+            duplicate = svc.submit(QueryRequest(label_queries[0]))
             release.set()
             assert not duplicate.result(timeout=10).collapsed
             assert svc.stats.collapsed == 0
@@ -154,15 +157,15 @@ class TestAdmissionAndTimeouts:
         self, serve_db, deployed_registry, label_queries, gate
     ):
         release, started = gate
-        svc = QueryService(
+        svc = ServeEngine(
             serve_db, deployed_registry, workers=1, max_pending=2
         )
         try:
-            svc.submit(label_queries[0])
+            svc.submit(QueryRequest(label_queries[0]))
             assert started.wait(timeout=5)
-            svc.submit(label_queries[1])
+            svc.submit(QueryRequest(label_queries[1]))
             with pytest.raises(QueueFullError):
-                svc.submit(label_queries[2])
+                svc.submit(QueryRequest(label_queries[2]))
             assert svc.stats.shed == 1
             release.set()
         finally:
@@ -172,11 +175,11 @@ class TestAdmissionAndTimeouts:
         self, serve_db, deployed_registry, label_queries, gate
     ):
         release, started = gate
-        svc = QueryService(serve_db, deployed_registry, workers=1)
+        svc = ServeEngine(serve_db, deployed_registry, workers=1)
         try:
-            svc.submit(label_queries[0])
+            svc.submit(QueryRequest(label_queries[0]))
             assert started.wait(timeout=5)
-            doomed = svc.submit(label_queries[1], timeout=0.05)
+            doomed = svc.submit(QueryRequest(label_queries[1], timeout=0.05))
             time.sleep(0.1)  # let the deadline lapse while queued
             release.set()
             with pytest.raises(RequestTimeoutError):
@@ -189,12 +192,12 @@ class TestAdmissionAndTimeouts:
         self, serve_db, deployed_registry, label_queries, gate
     ):
         release, started = gate
-        svc = QueryService(serve_db, deployed_registry, workers=1)
+        svc = ServeEngine(serve_db, deployed_registry, workers=1)
         try:
-            svc.submit(label_queries[0])
+            svc.submit(QueryRequest(label_queries[0]))
             assert started.wait(timeout=5)
             with pytest.raises(RequestTimeoutError):
-                svc.execute(label_queries[1], timeout=0.05)
+                svc.execute(QueryRequest(label_queries[1], timeout=0.05))
             release.set()
             # The waiter saw the timeout and so does the worker that
             # later dequeues the expired request: still one timeout.
@@ -207,13 +210,13 @@ class TestAdmissionAndTimeouts:
         self, serve_db, deployed_registry, label_queries, gate
     ):
         release, started = gate
-        svc = QueryService(
+        svc = ServeEngine(
             serve_db, deployed_registry, workers=1, default_timeout=0.05
         )
         try:
-            svc.submit(label_queries[0])
+            svc.submit(QueryRequest(label_queries[0]))
             assert started.wait(timeout=5)
-            doomed = svc.submit(label_queries[1])
+            doomed = svc.submit(QueryRequest(label_queries[1]))
             time.sleep(0.1)
             release.set()
             with pytest.raises(RequestTimeoutError):
@@ -226,8 +229,8 @@ class TestLifecycle:
     def test_drain_then_clean_shutdown(
         self, serve_db, deployed_registry, label_queries
     ):
-        svc = QueryService(serve_db, deployed_registry, workers=2)
-        futures = [svc.submit(q) for q in label_queries]
+        svc = ServeEngine(serve_db, deployed_registry, workers=2)
+        futures = [svc.submit(QueryRequest(q)) for q in label_queries]
         assert svc.drain(timeout=30)
         assert svc.queue_depth == 0
         assert all(f.done() for f in futures)
@@ -237,19 +240,19 @@ class TestLifecycle:
     def test_stopped_service_refuses_submissions(
         self, serve_db, deployed_registry, label_queries
     ):
-        svc = QueryService(serve_db, deployed_registry, workers=1)
+        svc = ServeEngine(serve_db, deployed_registry, workers=1)
         svc.shutdown()
         with pytest.raises(ServiceStoppedError):
-            svc.submit(label_queries[0])
+            svc.submit(QueryRequest(label_queries[0]))
 
     def test_forced_shutdown_fails_queued_requests(
         self, serve_db, deployed_registry, label_queries, gate
     ):
         release, started = gate
-        svc = QueryService(serve_db, deployed_registry, workers=1)
-        executing = svc.submit(label_queries[0])
+        svc = ServeEngine(serve_db, deployed_registry, workers=1)
+        executing = svc.submit(QueryRequest(label_queries[0]))
         assert started.wait(timeout=5)
-        queued = [svc.submit(q) for q in label_queries[1:3]]
+        queued = [svc.submit(QueryRequest(q)) for q in label_queries[1:3]]
         timer = threading.Timer(0.2, release.set)
         timer.start()
         clean = svc.shutdown(drain=False)
@@ -268,12 +271,12 @@ class TestLifecycle:
             "customers",
             mining_predicates=(PredictionEquals("risk_tree", "high"),),
         )
-        with QueryService(serve_db, registry, workers=1) as svc:
-            assert svc.execute(query).rows is not None
+        with ServeEngine(serve_db, registry, workers=1) as svc:
+            assert svc.execute(QueryRequest(query)).rows is not None
             registry.retire("risk_tree")
             with pytest.raises(CatalogError):
-                svc.execute(query)
+                svc.execute(QueryRequest(query))
 
     def test_rejects_bad_worker_count(self, serve_db, deployed_registry):
         with pytest.raises(ValueError, match="workers"):
-            QueryService(serve_db, deployed_registry, workers=0)
+            ServeEngine(serve_db, deployed_registry, workers=0)

@@ -13,7 +13,7 @@ import json
 import pytest
 
 from repro.exceptions import RequestTimeoutError
-from repro.serve import QueryService
+from repro.serve import QueryRequest, ServeEngine
 from repro.sql.miningext import PredictionJoinExecutor
 from repro.sql.plancache import PlanCache
 
@@ -43,10 +43,12 @@ def test_concurrent_identical_to_serial(
         byte_image(serial_executor.execute(label_queries[i]).rows)
         for i in schedule
     ]
-    with QueryService(
+    with ServeEngine(
         serve_db, deployed_registry, workers=workers, max_pending=64
     ) as svc:
-        futures = [svc.submit(label_queries[i]) for i in schedule]
+        futures = [
+            svc.submit(QueryRequest(label_queries[i])) for i in schedule
+        ]
         images = [
             byte_image(f.result(timeout=60).rows) for f in futures
         ]
@@ -69,14 +71,16 @@ def test_identical_under_plan_cache_eviction(
         byte_image(serial_executor.execute(label_queries[i]).rows)
         for i in schedule
     ]
-    with QueryService(
+    with ServeEngine(
         serve_db,
         deployed_registry,
         workers=4,
         max_pending=64,
         plan_cache=cache,
     ) as svc:
-        futures = [svc.submit(label_queries[i]) for i in schedule]
+        futures = [
+            svc.submit(QueryRequest(label_queries[i])) for i in schedule
+        ]
         images = [
             byte_image(f.result(timeout=60).rows) for f in futures
         ]
@@ -104,7 +108,7 @@ def test_identical_under_injected_timeouts(
         byte_image(serial_executor.execute(label_queries[i]).rows)
         for i in schedule
     ]
-    with QueryService(
+    with ServeEngine(
         serve_db,
         deployed_registry,
         workers=2,
@@ -114,7 +118,9 @@ def test_identical_under_injected_timeouts(
         futures = []
         for n, i in enumerate(schedule):
             timeout = 0.000_1 if n % 5 == 4 else None
-            futures.append(svc.submit(label_queries[i], timeout=timeout))
+            futures.append(
+                svc.submit(QueryRequest(label_queries[i], timeout=timeout))
+            )
         timed_out = 0
         for n, future in enumerate(futures):
             try:
@@ -130,14 +136,17 @@ def test_identical_under_injected_timeouts(
 
 
 def test_two_services_agree(serve_db, deployed_registry, label_queries):
-    """Run-to-run determinism: two service instances, same answers."""
+    """Run-to-run determinism: two engine instances, same answers."""
     schedule = schedule_for(label_queries, 24)
 
     def run() -> list[bytes]:
-        with QueryService(
+        with ServeEngine(
             serve_db, deployed_registry, workers=3, max_pending=64
         ) as svc:
-            futures = [svc.submit(label_queries[i]) for i in schedule]
+            futures = [
+                svc.submit(QueryRequest(label_queries[i]))
+                for i in schedule
+            ]
             return [
                 byte_image(f.result(timeout=60).rows) for f in futures
             ]

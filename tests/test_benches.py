@@ -13,6 +13,7 @@ from pathlib import Path
 import pytest
 
 from repro.__main__ import build_parser
+from repro.experiments import benches
 from repro.experiments.benches import BENCHES, rows_digest, write_report
 from repro.experiments.config import SMOKE_CONFIG
 
@@ -22,7 +23,6 @@ SMALLEST = {
     "segment-bench": "--segments 50 --rows 512",
     "calibration-bench": "--passes 2",
     "disjunction-bench": "--rows 512",
-    "serve-bench": "--workers 1 --requests 20 --transport inproc",
 }
 
 
@@ -45,7 +45,7 @@ def test_bench_row_runs_summarizes_and_writes(name, tmp_path):
 
     environment = written["environment"]
     assert set(environment) == {
-        "git_sha", "cpu_count", "python", "numpy", "scale", "seed"
+        "git_sha", "dirty", "cpu_count", "python", "numpy", "scale", "seed"
     }
     assert environment["cpu_count"] >= 1
     assert environment["scale"] == "smoke"
@@ -56,6 +56,24 @@ def test_bench_row_runs_summarizes_and_writes(name, tmp_path):
     # Every key the docs quote from the committed file is still produced.
     committed = json.loads((REPO_ROOT / BENCHES[name].output).read_text())
     assert set(committed) <= set(written)
+
+
+@pytest.mark.parametrize(
+    "status, dirty",
+    [("", False), (" M src/repro/x.py", True), (None, None)],
+)
+def test_report_says_whether_the_checkout_was_dirty(
+    status, dirty, tmp_path, monkeypatch
+):
+    """A run that precedes its commit carries the parent's SHA: the
+    stamp must say the tree differed (``None``: not a git checkout)."""
+    sha = None if status is None else "0" * 40
+    answers = {"status": status, "rev-parse": sha}
+    monkeypatch.setattr(
+        benches, "_git", lambda command, *rest: answers[command]
+    )
+    target = write_report({}, tmp_path / "r.json", SMOKE_CONFIG, "smoke")
+    assert json.loads(target.read_text())["environment"]["dirty"] is dirty
 
 
 def test_every_bench_module_honours_the_contract():

@@ -3,6 +3,8 @@
 import json
 import re
 import shlex
+import socket
+import threading
 from pathlib import Path
 
 import pytest
@@ -10,6 +12,7 @@ import pytest
 import repro.__main__ as cli
 from repro import obs
 from repro.__main__ import COMMANDS, build_parser, main
+from repro.exceptions import TransportError
 from repro.experiments.benches import BENCHES
 
 REPO_ROOT = Path(__file__).resolve().parents[1]
@@ -23,8 +26,6 @@ OWN_FLAGS = {
     **{name: set() for name in (*COMMANDS, *BENCHES)},
     "trace-report": {"--strict"},
     "serve": ENGINE_FLAGS | {"--host", "--port", "--duration"},
-    "serve-bench": ENGINE_FLAGS
-    | {"--requests", "--transport", "--processes"},
     "load-bench": ENGINE_FLAGS
     | {"--requests", "--transport", "--arrivals", "--rate", "--deadline"},
     "segment-bench": {"--segments", "--rows"},
@@ -109,14 +110,15 @@ class TestSubcommands:
         text = capsys.readouterr().out
         flags = set(re.findall(r"(?<![\w-])--[a-z][a-z-]*", text))
         assert flags == SHARED_FLAGS | OWN_FLAGS[command]
-        # No flag needs a "serve-bench:"-style prefix to say whose it is.
+        # No flag needs a "load-bench:"-style prefix to say whose it is.
         for name in OWN_FLAGS:
             assert f"{name}:" not in text
 
-    def test_flag_set_is_the_eighteen_left_of_the_flat_parser(self):
-        # Its nineteen minus --batch-size, which left with bench-vectorized.
+    def test_flag_set_is_the_seventeen_left_of_the_flat_parser(self):
+        # Its nineteen minus --batch-size and --processes, each of which
+        # left with the one bench that read it.
         everything = set().union(SHARED_FLAGS, *OWN_FLAGS.values())
-        assert len(everything - {"--help"}) == 18
+        assert len(everything - {"--help"}) == 17
 
     def test_every_command_is_in_the_docstring_and_readme(self):
         readme = (REPO_ROOT / "README.md").read_text()
@@ -128,20 +130,19 @@ class TestSubcommands:
         "argv",
         [
             "tables --segments 5",  # a flag of another subcommand
-            "serve-bench --workers 0",
-            "serve-bench --requests 0",
-            "serve-bench --processes -1",
-            "serve-bench --transport router",
             "load-bench --workers 0",
             "load-bench --requests 0",
             "load-bench --rate 0",
             "load-bench --deadline 0",
             "calibration-bench --passes 1",
             "bench-vectorized --batch-size 0",  # a retired command is none
+            "serve-bench",  # nor is this one (the only place it is named)
             "segment-bench --segments 0",
             "segment-bench --rows 0",
             "disjunction-bench --rows 0",
             "serve --duration 0",
+            "serve --port 70000",  # before any fixture is built
+            "serve --port -1",
             "tables --jobs -1",
         ],
     )
@@ -153,15 +154,39 @@ class TestSubcommands:
 
     def test_every_ci_command_line_parses(self):
         lines = _ci_command_lines()
-        # tier1's three (run, sweep, trace-report), the six matrix
+        # tier1's three (run, sweep, trace-report), the five matrix
         # rows, and the matrix job's own trace-report.
-        assert len(lines) == 10
+        assert len(lines) == 9
         assert {shlex.split(line)[0] for line in lines} >= set(BENCHES) - {
             "bench-parallel"
         }
         parser = build_parser()
         for line in lines:
             parser.parse_args(shlex.split(line))
+
+
+class TestServe:
+    def test_failed_bind_stops_the_engine(self):
+        """A port already taken is reported typed, and the engine built
+        before the bind does not outlive it."""
+        with socket.create_server(("127.0.0.1", 0)) as taken:
+            port = taken.getsockname()[1]
+            with pytest.raises(TransportError, match="could not bind"):
+                main(
+                    ["serve", "--scale", "smoke", "--port", str(port),
+                     "--duration", "0.1"]
+                )
+        assert not [
+            thread.name
+            for thread in threading.enumerate()
+            if thread.name.startswith("repro-serve-worker-")
+        ]
+
+    def test_serves_on_an_ephemeral_port_then_exits(self, capsys):
+        assert main(["serve", "--scale", "smoke", "--duration", "0.1"]) == 0
+        output = capsys.readouterr().out
+        assert re.search(r"on 127\.0\.0\.1:\d+", output)
+        assert "shut down cleanly" in output
 
 
 class TestTraceCLI:
