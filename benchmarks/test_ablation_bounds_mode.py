@@ -7,14 +7,19 @@ minProb/maxProb bounds — per-region they are provably at least as tight —
 and in practice they are what makes rare-class envelopes usable.
 """
 
-from repro.experiments.ablation import bounds_mode_comparison
+from repro.experiments.ablation import bounds_comparison
 from repro.workload.report import format_table
 
 
 def test_a4_pairwise_bounds_tighter(config, benchmark):
     rows = benchmark.pedantic(
-        bounds_mode_comparison,
-        kwargs=dict(datasets=("shuttle", "anneal_u"), config=config),
+        bounds_comparison,
+        kwargs=dict(
+            datasets=("shuttle", "anneal_u"),
+            config=config,
+            train_size=4_000,
+            max_nodes=300,
+        ),
         rounds=1,
         iterations=1,
     )

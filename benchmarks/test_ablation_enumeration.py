@@ -4,9 +4,11 @@ Paper Section 3.2.2: "it is impractically slow to enumerate all
 ``prod n_d`` member combinations.  A medium sized data set in our
 experiments took more than 24 hours for just enumerating the
 combinations."  The ablation grows the attribute space and compares the
-two algorithms; past the enumeration guard the baseline is refused
-outright while the top-down algorithm keeps answering in milliseconds —
-the ">24 hours" cliff in miniature.
+two algorithms.  Where both run, enumeration is the faster one (at 5 dims,
+32,768 cells, about 2 s against about 50 s for the top-down search, most of
+it coarsening the result to 48 disjuncts); past the enumeration guard the
+baseline is refused outright while the top-down algorithm still answers in
+a few seconds — the ">24 hours" cliff in miniature.
 """
 
 from repro.experiments.ablation import enumeration_comparison

@@ -55,11 +55,8 @@ from repro.core import (
     allowed_values,
     conjunction,
     cover_cells,
-    derive_all_envelopes,
     derive_envelope,
     disjunction,
-    enumerate_envelope,
-    enumerate_envelope_for_table,
     equals,
     in_set,
     merge_regions,
@@ -241,12 +238,9 @@ __all__ = [
     "dataset_spec",
     "default_pipeline",
     "density_envelopes",
-    "derive_all_envelopes",
     "derive_envelope",
     "derive_envelopes",
     "disjunction",
-    "enumerate_envelope",
-    "enumerate_envelope_for_table",
     "equals",
     "execute_reference",
     "expand_rows",

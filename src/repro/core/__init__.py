@@ -12,10 +12,7 @@ from repro.core.nb_bounds import RegionBounds, RegionStatus
 from repro.core.nb_envelope import (
     DEFAULT_MAX_NODES,
     EnvelopeResult,
-    derive_all_envelopes,
     derive_envelope,
-    enumerate_envelope,
-    enumerate_envelope_for_table,
 )
 from repro.core.normalize import allowed_values, simplify, to_dnf, to_nnf
 from repro.core.predicates import (
@@ -79,12 +76,9 @@ __all__ = [
     "coarsen_regions",
     "conjunction",
     "cover_cells",
-    "derive_all_envelopes",
     "derive_envelope",
     "disjunct_count",
     "disjunction",
-    "enumerate_envelope",
-    "enumerate_envelope_for_table",
     "equals",
     "in_set",
     "merge_regions",

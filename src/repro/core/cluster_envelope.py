@@ -21,9 +21,8 @@ from collections.abc import Sequence
 import numpy as np
 
 from repro.core.covering import cover_cells
-from repro.core.envelope import UpperEnvelope
-from repro.core.nb_bounds import BoundsMode
-from repro.core.nb_envelope import DEFAULT_MAX_NODES, derive_envelope
+from repro.core.envelope import UpperEnvelope, top_down_envelopes
+from repro.core.nb_envelope import DEFAULT_MAX_NODES
 from repro.core.predicates import TRUE, Value
 from repro.core.regions import AttributeSpace, BinnedDimension, regions_to_predicate
 from repro.core.score_model import (
@@ -265,25 +264,9 @@ def discretized_cluster_envelopes(
     max_nodes: int = DEFAULT_MAX_NODES,
 ) -> dict[Value, UpperEnvelope]:
     """Envelopes for a discretized cluster model (exact score reduction)."""
-    table = discretized_score_table(model)
-    envelopes: dict[Value, UpperEnvelope] = {}
-    for label in model.class_labels:
-        result = derive_envelope(
-            table,
-            label,
-            max_nodes=max_nodes,
-            bounds_mode=BoundsMode.PAIRWISE,
-        )
-        envelopes[label] = UpperEnvelope(
-            model_name=model.name,
-            model_kind=model.kind,
-            class_label=label,
-            predicate=result.predicate,
-            exact=result.exact,
-            seconds=result.seconds,
-            derivation="top-down",
-        )
-    return envelopes
+    return top_down_envelopes(
+        model, discretized_score_table(model), max_nodes
+    )
 
 
 def clustering_envelopes(
@@ -312,24 +295,7 @@ def clustering_envelopes(
         raise EnvelopeError(
             f"unsupported clustering model {type(model).__name__}"
         )
-    envelopes: dict[Value, UpperEnvelope] = {}
-    for label in model.class_labels:
-        result = derive_envelope(
-            table,
-            label,
-            max_nodes=max_nodes,
-            bounds_mode=BoundsMode.PAIRWISE,
-        )
-        envelopes[label] = UpperEnvelope(
-            model_name=model.name,
-            model_kind=model.kind,
-            class_label=label,
-            predicate=result.predicate,
-            exact=result.exact,
-            seconds=result.seconds,
-            derivation="top-down",
-        )
-    return envelopes
+    return top_down_envelopes(model, table, max_nodes)
 
 
 #: Guard for enumerating the noise complement of a density model.

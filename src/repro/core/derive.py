@@ -16,9 +16,8 @@ from repro.core.cluster_envelope import (
     density_envelopes,
     discretized_cluster_envelopes,
 )
-from repro.core.envelope import UpperEnvelope
-from repro.core.nb_bounds import BoundsMode
-from repro.core.nb_envelope import DEFAULT_MAX_NODES, derive_envelope
+from repro.core.envelope import UpperEnvelope, top_down_envelopes
+from repro.core.nb_envelope import DEFAULT_MAX_NODES
 from repro.core.predicates import Value, atom_count, disjunct_count
 from repro.core.rule_envelope import rule_envelopes
 from repro.core.score_model import ScoreTable
@@ -52,35 +51,11 @@ def score_table_from_naive_bayes(model: NaiveBayesModel) -> ScoreTable:
 def naive_bayes_envelopes(
     model: NaiveBayesModel,
     max_nodes: int = DEFAULT_MAX_NODES,
-    bounds_mode: BoundsMode = BoundsMode.PAIRWISE,
 ) -> dict[Value, UpperEnvelope]:
-    """Top-down envelopes (Algorithm 1) for every class of an NB model.
-
-    ``bounds_mode`` defaults to the pairwise-difference bounds — the
-    K-class generalization of the paper's Lemma 3.2, which is exact per
-    opponent and markedly tighter on skewed multi-attribute models; pass
-    ``BoundsMode.SEPARATE`` for the paper's original minProb/maxProb bounds
-    (the A2 ablation benchmark compares the two).
-    """
-    table = score_table_from_naive_bayes(model)
-    envelopes: dict[Value, UpperEnvelope] = {}
-    for label in model.class_labels:
-        result = derive_envelope(
-            table,
-            label,
-            max_nodes=max_nodes,
-            bounds_mode=bounds_mode,
-        )
-        envelopes[label] = UpperEnvelope(
-            model_name=model.name,
-            model_kind=model.kind,
-            class_label=label,
-            predicate=result.predicate,
-            exact=result.exact,
-            seconds=result.seconds,
-            derivation="top-down",
-        )
-    return envelopes
+    """Top-down envelopes (Algorithm 1) for every class of an NB model."""
+    return top_down_envelopes(
+        model, score_table_from_naive_bayes(model), max_nodes
+    )
 
 
 def derive_envelopes(

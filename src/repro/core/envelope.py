@@ -12,6 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+from repro.core.nb_envelope import derive_envelope
 from repro.core.predicates import (
     FalsePredicate,
     Predicate,
@@ -19,7 +20,8 @@ from repro.core.predicates import (
     atom_count,
     disjunct_count,
 )
-from repro.mining.base import ModelKind, Row
+from repro.core.score_model import ScoreTable
+from repro.mining.base import MiningModel, ModelKind, Row
 
 
 @dataclass(frozen=True)
@@ -61,3 +63,22 @@ class UpperEnvelope:
     def admits(self, row: Row) -> bool:
         """Whether the envelope accepts ``row``."""
         return self.predicate.evaluate(row)
+
+
+def top_down_envelopes(
+    model: MiningModel, table: ScoreTable, max_nodes: int
+) -> dict[Value, UpperEnvelope]:
+    """Algorithm 1 for every class of a model reduced to ``table``."""
+    envelopes: dict[Value, UpperEnvelope] = {}
+    for label in model.class_labels:
+        result = derive_envelope(table, label, max_nodes=max_nodes)
+        envelopes[label] = UpperEnvelope(
+            model_name=model.name,
+            model_kind=model.kind,
+            class_label=label,
+            predicate=result.predicate,
+            exact=result.exact,
+            seconds=result.seconds,
+            derivation="top-down",
+        )
+    return envelopes

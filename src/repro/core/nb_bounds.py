@@ -1,31 +1,28 @@
-"""Region probability bounds for the top-down envelope search.
+"""Region score bounds for the top-down envelope search.
 
-Implements the ``minProb`` / ``maxProb`` machinery of paper Section 3.2.2 in
-log space, plus a strictly tighter *pairwise-difference* variant that
-generalizes the paper's Lemma 3.2 from two classes to any K.
-
-**Separate bounds** (the paper's formulation): for a region ``r`` and class
-``j``,
-
-    minScore(j) = bias_j + sum_d  min over allowed members of lo_j(d, m)
-    maxScore(j) = bias_j + sum_d  max over allowed members of hi_j(d, m)
-
-* MUST_WIN  — ``minScore(k)`` beats ``maxScore(j)`` for every ``j != k``
-  (Lemma 3.1: every cell in the region is predicted ``k``),
-* MUST_LOSE — some ``j`` has ``minScore(j)`` beating ``maxScore(k)``,
-* AMBIGUOUS — neither.
-
-**Pairwise bounds**: for each opponent ``j`` bound the score *difference*
+The paper's Section 3.2.2 bounds each class's score over a region on its
+own (``minProb`` / ``maxProb``) and, for two classes, makes the tests exact
+through Lemma 3.2's probability-ratio transform.  This module generalizes
+that lemma to any K: for the target class ``k`` and each opponent ``j`` it
+bounds the score *difference*
 
     maxDiff(k, j) = bias_k - bias_j + sum_d max over members of
                     (score_k - score_j)(d, m)
 
 (and symmetrically minDiff).  Because a difference of additive scores is
 itself additive, these per-opponent tests are exact given exact per-member
-difference bounds — this is what Lemma 3.2 achieves for K=2 via the ratio
-transform, extended to every pair.  Clustering adapters supply closed-form
-per-bin difference bounds (quadratics in the raw value), which remain
-informative even on unbounded outer bins where both absolute scores diverge.
+difference bounds; at K=2 they give the same verdicts as the ratio
+transform.  Clustering adapters supply closed-form per-bin difference
+bounds (quadratics in the raw value), which remain informative even on
+unbounded outer bins where both absolute scores diverge.
+
+* MUST_WIN  — ``minDiff(k, j) > 0`` for every ``j != k`` (Lemma 3.1: every
+  cell in the region is predicted ``k``),
+* MUST_LOSE — some ``j`` has ``maxDiff(k, j) < 0``,
+* AMBIGUOUS — neither.
+
+The paper's separate bounds are kept only as the comparison of ablations
+A2 and A4 (:class:`repro.experiments.ablation.SeparateBounds`).
 
 Soundness under floating point: discarding a region that contains a winning
 cell would break the upper-envelope contract, so the MUST_LOSE test demands
@@ -58,25 +55,17 @@ class RegionStatus(enum.Enum):
     AMBIGUOUS = "ambiguous"
 
 
-class BoundsMode(enum.Enum):
-    """Which bound family drives the MUST-WIN / MUST-LOSE tests."""
-
-    #: The paper's Section 3.2.2 minProb/maxProb bounds.
-    SEPARATE = "separate"
-    #: Per-opponent difference bounds (Lemma 3.2 generalized to K classes).
-    PAIRWISE = "pairwise"
-
-
 def _masked_sum(matrix: np.ndarray, exclude: int) -> np.ndarray:
     """Row sums of ``matrix`` with one column excluded (NaN/inf safe)."""
     return np.delete(matrix, exclude, axis=-1).sum(axis=-1)
 
 
 class RegionBounds:
-    """Per-class score bounds of one region, with per-dimension detail.
+    """Target-versus-opponent score-difference bounds of one region.
 
     Exposes the whole-region status and the member-conditional status used
-    by the shrink step (the ``maxProb(c_j, d, m)`` bounds of the paper).
+    by the shrink step (the paper's ``maxProb(c_j, d, m)`` revision, taken
+    per opponent), with per-dimension detail.
     """
 
     def __init__(
@@ -84,7 +73,6 @@ class RegionBounds:
         table: ScoreTable,
         region: Region,
         target: int,
-        mode: BoundsMode = BoundsMode.SEPARATE,
     ) -> None:
         if len(region.members) != table.space.n_dims:
             raise EnvelopeError(
@@ -95,89 +83,35 @@ class RegionBounds:
         self.table = table
         self.region = region
         self.target = target
-        self.mode = mode
         n_classes = table.n_classes
         n_dims = table.space.n_dims
         self._indices = [
             np.asarray(members, dtype=int) for members in region.members
         ]
-        if mode is BoundsMode.SEPARATE:
-            #: Per-class, per-dimension extreme contributions.
-            self.dim_min = np.empty((n_classes, n_dims))
-            self.dim_max = np.empty((n_classes, n_dims))
-            for d, index in enumerate(self._indices):
-                self.dim_min[:, d] = table.lo[d][:, index].min(axis=1)
-                self.dim_max[:, d] = table.hi[d][:, index].max(axis=1)
-            self.min_score = table.biases + self.dim_min.sum(axis=1)
-            self.max_score = table.biases + self.dim_max.sum(axis=1)
-        else:
-            #: Per-opponent, per-dimension extreme difference contributions
-            #: of the target class: shape (K, n_dims).
-            self.diff_dim_min = np.empty((n_classes, n_dims))
-            self.diff_dim_max = np.empty((n_classes, n_dims))
-            for d, index in enumerate(self._indices):
-                diff_lo, diff_hi = table.diff_bounds(d)
-                self.diff_dim_min[:, d] = (
-                    diff_lo[target][:, index].min(axis=1)
-                )
-                self.diff_dim_max[:, d] = (
-                    diff_hi[target][:, index].max(axis=1)
-                )
-            bias_diff = table.biases[target] - table.biases
-            self.diff_min = bias_diff + self.diff_dim_min.sum(axis=1)
-            self.diff_max = bias_diff + self.diff_dim_max.sum(axis=1)
+        #: Per-opponent, per-dimension extreme difference contributions
+        #: of the target class: shape (K, n_dims).
+        self.diff_dim_min = np.empty((n_classes, n_dims))
+        self.diff_dim_max = np.empty((n_classes, n_dims))
+        for d, index in enumerate(self._indices):
+            diff_lo, diff_hi = table.diff_bounds(d)
+            self.diff_dim_min[:, d] = (
+                diff_lo[target][:, index].min(axis=1)
+            )
+            self.diff_dim_max[:, d] = (
+                diff_hi[target][:, index].max(axis=1)
+            )
+        bias_diff = table.biases[target] - table.biases
+        self.diff_min = bias_diff + self.diff_dim_min.sum(axis=1)
+        self.diff_max = bias_diff + self.diff_dim_max.sum(axis=1)
 
     # -- whole-region tests -------------------------------------------------
 
     def status(self) -> RegionStatus:
-        if self.mode is BoundsMode.SEPARATE:
-            min_score = self.min_score
-            max_score = self.max_score
-            if self._must_lose_separate(min_score, max_score):
-                return RegionStatus.MUST_LOSE
-            if self._must_win_separate(min_score, max_score):
-                return RegionStatus.MUST_WIN
-            return RegionStatus.AMBIGUOUS
         if self._must_lose_pairwise(self.diff_max):
             return RegionStatus.MUST_LOSE
         if self._must_win_pairwise(self.diff_min):
             return RegionStatus.MUST_WIN
         return RegionStatus.AMBIGUOUS
-
-    def _must_win_separate(
-        self, min_score: np.ndarray, max_score: np.ndarray
-    ) -> bool:
-        ranks = self.table.tie_ranks
-        target = self.target
-        for j in range(self.table.n_classes):
-            if j == target:
-                continue
-            if min_score[target] > max_score[j]:
-                continue
-            if (
-                min_score[target] == max_score[j]
-                and ranks[target] < ranks[j]
-            ):
-                continue
-            return False
-        return True
-
-    def _must_lose_separate(
-        self, min_score: np.ndarray, max_score: np.ndarray
-    ) -> bool:
-        ranks = self.table.tie_ranks
-        target = self.target
-        for j in range(self.table.n_classes):
-            if j == target:
-                continue
-            if max_score[target] + LOSE_MARGIN < min_score[j]:
-                return True
-            if (
-                max_score[target] == min_score[j]
-                and ranks[j] < ranks[target]
-            ):
-                return True
-        return False
 
     def _must_win_pairwise(self, diff_min: np.ndarray) -> bool:
         ranks = self.table.tie_ranks
@@ -206,11 +140,6 @@ class RegionBounds:
 
     # -- member-conditional tests (shrink step) -----------------------------
 
-    def member_must_lose(self, dim: int, member: int) -> bool:
-        """MUST_LOSE test restricted to cells with ``x_dim = member``."""
-        verdicts = self.members_must_lose(dim, np.array([member]))
-        return bool(verdicts[0])
-
     def members_must_lose(
         self, dim: int, members: np.ndarray
     ) -> np.ndarray:
@@ -226,25 +155,6 @@ class RegionBounds:
         """
         ranks = np.asarray(self.table.tie_ranks)
         target = self.target
-        if self.mode is BoundsMode.SEPARATE:
-            # Conditional scores: shape (K, len(members)).
-            min_score = (
-                self.table.biases[:, None]
-                + _masked_sum(self.dim_min, dim)[:, None]
-                + self.table.lo[dim][:, members]
-            )
-            max_score = (
-                self.table.biases[:, None]
-                + _masked_sum(self.dim_max, dim)[:, None]
-                + self.table.hi[dim][:, members]
-            )
-            strict = max_score[target][None, :] + LOSE_MARGIN < min_score
-            ties = (max_score[target][None, :] == min_score) & (
-                ranks[:, None] < ranks[target]
-            )
-            lose = strict | ties
-            lose[target, :] = False
-            return lose.any(axis=0)
         diff_lo, diff_hi = self.table.diff_bounds(dim)
         bias_diff = self.table.biases[target] - self.table.biases
         diff_max = (
@@ -259,21 +169,11 @@ class RegionBounds:
         return lose.any(axis=0)
 
 
-def classify_region(
-    table: ScoreTable,
-    region: Region,
-    target: int,
-    mode: BoundsMode = BoundsMode.SEPARATE,
-) -> RegionStatus:
-    """Convenience wrapper: the status of ``region`` for class ``target``."""
-    return RegionBounds(table, region, target, mode=mode).status()
-
-
 def shrink_region(
     table: ScoreTable,
     region: Region,
     target: int,
-    mode: BoundsMode = BoundsMode.SEPARATE,
+    bounds: type[RegionBounds] = RegionBounds,
     max_passes: int = 3,
 ) -> Region | None:
     """The paper's Shrink step: drop members whose slice MUST-LOSEs.
@@ -284,16 +184,17 @@ def shrink_region(
     dimension loses (the region holds no target-class cells).
 
     Removing a member tightens the regional extremes, so the scan repeats
-    up to ``max_passes`` times or until a fixpoint.
+    up to ``max_passes`` times or until a fixpoint.  ``bounds`` is the
+    bounds class the search classifies regions with.
     """
     current = region
     for _ in range(max_passes):
-        bounds = RegionBounds(table, current, target, mode=mode)
+        verdicts = bounds(table, current, target)
         changed = False
         new_members: list[tuple[int, ...]] = []
         for d, dim in enumerate(table.space.dimensions):
             members = list(current.members[d])
-            lose = bounds.members_must_lose(
+            lose = verdicts.members_must_lose(
                 d, np.asarray(members, dtype=int)
             )
             if len(members) > 1:

@@ -1,5 +1,4 @@
-"""Top-down upper-envelope derivation (paper Algorithm 1) and the naive
-enumeration baseline it replaces.
+"""Top-down upper-envelope derivation (paper Algorithm 1).
 
 :func:`derive_envelope` refines a tree of regions, classifying each against
 the target class with the bounds of :mod:`repro.core.nb_bounds`:
@@ -11,11 +10,9 @@ the target class with the bounds of :mod:`repro.core.nb_bounds`:
   leftover ambiguous regions are *kept* — including them can only loosen the
   envelope, never break it.
 
-:func:`enumerate_envelope` is the generic algorithm of Section 3.2.2's first
-paragraph: predict the class of every member combination and cover the
-winning cells with rectangles.  The paper reports it taking ">24 hours" on a
-medium data set; it is retained as a correctness oracle for small spaces and
-as the baseline of the enumeration ablation benchmark.
+The generic enumerate-and-cover algorithm it replaces (Section 3.2.2's first
+paragraph) lives beside ablation A3, its one caller, in
+:mod:`repro.experiments.ablation`.
 """
 
 from __future__ import annotations
@@ -23,8 +20,10 @@ from __future__ import annotations
 import heapq
 import itertools
 import time
-from collections.abc import Callable, Sequence
+from collections.abc import Sequence
 from dataclasses import dataclass
+
+import numpy as np
 
 from repro.core.covering import cover_cells
 from repro.core.normalize import simplify
@@ -37,7 +36,6 @@ from repro.core.regions import (
     regions_to_predicate,
 )
 from repro.core.nb_bounds import (
-    BoundsMode,
     RegionBounds,
     RegionStatus,
     entropy_split,
@@ -49,6 +47,10 @@ from repro.ir import intern
 
 #: Default node-expansion budget (the paper's *Threshold* input).
 DEFAULT_MAX_NODES = 512
+
+#: Ambiguous regions of at most this many cells are resolved exactly by
+#: per-cell prediction and rectangle covering.
+LEAF_ENUMERATION_CELLS = 128
 
 
 @dataclass(frozen=True)
@@ -82,47 +84,33 @@ def derive_envelope(
     table: ScoreTable,
     class_label: Value,
     max_nodes: int = DEFAULT_MAX_NODES,
-    merge: bool = True,
-    use_two_class_ratio: bool = True,
-    shrink: bool = True,
-    bounds_mode: BoundsMode = BoundsMode.SEPARATE,
     max_regions: int | None = 48,
-    leaf_enumeration: int = 128,
     max_constrained_dims: int | None = 5,
+    bounds: type[RegionBounds] = RegionBounds,
 ) -> EnvelopeResult:
     """Derive the upper envelope of ``class_label`` (paper Algorithm 1).
 
-    ``max_nodes`` bounds the number of split expansions; ``merge`` enables
-    the bottom-up/non-sibling merge pass; ``use_two_class_ratio`` applies
-    the Lemma 3.2 exact-bounds transform when the model has two classes;
-    ``shrink`` can disable the Shrink step for ablation studies;
-    ``bounds_mode`` selects the paper's separate minProb/maxProb bounds or
-    the pairwise-difference generalization (the right choice for clustering
-    tables, whose absolute score bounds are infinite on outer bins);
+    ``max_nodes`` bounds the number of split expansions;
     ``max_regions`` caps the number of disjuncts by sound, mass-aware
     bounding-box coarsening (the Section 4.2 disjunct threshold) — ``None``
-    disables it; ``leaf_enumeration`` resolves ambiguous regions of at most
-    that many cells *exactly* by per-cell prediction and rectangle covering
-    (a hybrid of the paper's two algorithms: top-down carving with the
-    generic enumerate-and-cover at the leaves, where it is cheap);
-    ``max_constrained_dims`` keeps only each region's most selective
-    dimension constraints — dropping a conjunct can only widen a region, so
-    this is the paper's "retain only a subset of relevant upper envelope
-    for evaluation as filter conditions" (Section 4.2), trading a little
-    tightness for far fewer predicate atoms.
+    disables it; ``max_constrained_dims`` keeps only each region's most
+    selective dimension constraints — dropping a conjunct can only widen a
+    region, so this is the paper's "retain only a subset of relevant upper
+    envelope for evaluation as filter conditions" (Section 4.2), trading a
+    little tightness for far fewer predicate atoms; ``bounds`` is the class
+    that classifies regions (the pairwise-difference bounds unless an
+    ablation substitutes the paper's own).
+
+    Ambiguous regions of at most :data:`LEAF_ENUMERATION_CELLS` cells are
+    resolved *exactly* by per-cell prediction and rectangle covering (a
+    hybrid of the paper's two algorithms: top-down carving with the generic
+    enumerate-and-cover at the leaves, where it is cheap), and the result
+    goes through the bottom-up/non-sibling merge pass.
     """
     if max_nodes < 0:
         raise EnvelopeError("max_nodes must be >= 0")
     started = time.perf_counter()
     target = table.class_index(class_label)
-    search_table = table
-    if (
-        use_two_class_ratio
-        and table.n_classes == 2
-        and bounds_mode is BoundsMode.SEPARATE
-        and not table.has_exact_diffs()
-    ):
-        search_table = table.two_class_ratio(target)
 
     wins: list[Region] = []
     kept: list[Region] = []
@@ -142,36 +130,29 @@ def derive_envelope(
 
     while frontier:
         _, _, region = heapq.heappop(frontier)
-        status = RegionBounds(
-            search_table, region, target, mode=bounds_mode
-        ).status()
+        status = bounds(table, region, target).status()
         if status is RegionStatus.MUST_LOSE:
             continue
         if status is RegionStatus.MUST_WIN:
             wins.append(region)
             continue
-        if shrink:
-            shrunk = shrink_region(
-                search_table, region, target, mode=bounds_mode
-            )
-            if shrunk is None:
+        shrunk = shrink_region(table, region, target, bounds=bounds)
+        if shrunk is None:
+            continue
+        if shrunk is not region:
+            status = bounds(table, shrunk, target).status()
+            if status is RegionStatus.MUST_LOSE:
                 continue
-            if shrunk is not region:
-                status = RegionBounds(
-                    search_table, shrunk, target, mode=bounds_mode
-                ).status()
-                if status is RegionStatus.MUST_LOSE:
-                    continue
-                if status is RegionStatus.MUST_WIN:
-                    wins.append(shrunk)
-                    continue
-                region = shrunk
+            if status is RegionStatus.MUST_WIN:
+                wins.append(shrunk)
+                continue
+            region = shrunk
         if region.is_cell():
             # A single cell with exact scores resolves by direct prediction;
             # interval tables (clustering on bins) keep the ambiguous cell,
             # which is sound.
-            if search_table.is_exact():
-                if search_table.predict_cell(
+            if table.is_exact():
+                if table.predict_cell(
                     tuple(m[0] for m in region.members)
                 ) == target:
                     wins.append(region)
@@ -179,22 +160,22 @@ def derive_envelope(
             kept.append(region)
             continue
         if (
-            search_table.is_exact()
-            and region.cell_count() <= leaf_enumeration
+            table.is_exact()
+            and region.cell_count() <= LEAF_ENUMERATION_CELLS
         ):
             # Small ambiguous region: resolve exactly by enumeration —
             # the generic algorithm applied where it is cheap.
             winning = [
                 cell
                 for cell in region.iter_cells()
-                if search_table.predict_cell(cell) == target
+                if table.predict_cell(cell) == target
             ]
             wins.extend(cover_cells(table.space, winning, merge=False))
             continue
         if expanded >= max_nodes:
             kept.append(region)
             continue
-        split = entropy_split(search_table, region, target)
+        split = entropy_split(table, region, target)
         if split is None:
             kept.append(region)
             continue
@@ -208,9 +189,7 @@ def derive_envelope(
         )
         expanded += 1
 
-    regions = wins + kept
-    if merge:
-        regions = merge_regions(regions)
+    regions = merge_regions(wins + kept)
     coarsened = False
     weights = _member_weights(table)
     if max_regions is not None and len(regions) > max_regions:
@@ -253,27 +232,6 @@ def derive_envelope(
     )
 
 
-def derive_all_envelopes(
-    table: ScoreTable,
-    max_nodes: int = DEFAULT_MAX_NODES,
-    merge: bool = True,
-    use_two_class_ratio: bool = True,
-    bounds_mode: BoundsMode = BoundsMode.SEPARATE,
-) -> dict[Value, EnvelopeResult]:
-    """Envelopes for every class — the training-time precomputation step."""
-    return {
-        label: derive_envelope(
-            table,
-            label,
-            max_nodes=max_nodes,
-            merge=merge,
-            use_two_class_ratio=use_two_class_ratio,
-            bounds_mode=bounds_mode,
-        )
-        for label in table.class_labels
-    }
-
-
 def _prune_weak_dims(
     region: Region,
     space: AttributeSpace,
@@ -287,8 +245,6 @@ def _prune_weak_dims(
     without buying selectivity.  Dropping a conjunct widens the region, so
     the result remains a sound upper envelope.
     """
-    import numpy as np
-
     strengths: list[tuple[float, int]] = []
     for d, members in enumerate(region.members):
         dim_size = space.dimensions[d].size
@@ -318,8 +274,6 @@ def _member_weights(table: ScoreTable) -> list:
     Used by mass-aware coarsening: ``w_d[m] = sum_k exp(bias_k + s_k(d,m))``
     with mid-point scores for interval tables.
     """
-    import numpy as np
-
     weights = []
     for d in range(table.space.n_dims):
         scaled = table.mid(d) + table.biases[:, None]
@@ -328,15 +282,13 @@ def _member_weights(table: ScoreTable) -> list:
     return weights
 
 
-def _class_masses(table: ScoreTable, region: Region) -> "np.ndarray":
+def _class_masses(table: ScoreTable, region: Region) -> np.ndarray:
     """Per-class log mass of a region under the model.
 
     ``bias_k + sum_d log sum_{m in r_d} exp(score_k(d, m))`` — for naive
     Bayes exactly ``log Pr(region, c_k)``.  Mid-point scores keep it
     defined for interval tables.
     """
-    import numpy as np
-
     totals = table.biases.copy()
     for d, members in enumerate(region.members):
         index = np.asarray(members, dtype=int)
@@ -356,85 +308,9 @@ def _region_mass(table: ScoreTable, region: Region) -> float:
     scores are negative distances) an unnormalized soft-mass heuristic
     with the same ordering role.
     """
-    import numpy as np
-
     totals = _class_masses(table, region)
     peak = totals.max()
     return float(peak + np.log(np.exp(totals - peak).sum()))
-
-
-#: Guard on full enumeration; above this the naive algorithm is refused,
-#: which is exactly the paper's point about its exponential cost.
-DEFAULT_ENUMERATION_LIMIT = 200_000
-
-
-def enumerate_envelope(
-    space: AttributeSpace,
-    predict_cell: Callable[[tuple[int, ...]], int],
-    target: int,
-    class_label: Value,
-    cell_limit: int = DEFAULT_ENUMERATION_LIMIT,
-) -> EnvelopeResult:
-    """The naive generic algorithm: enumerate cells, cover the winners.
-
-    Applicable to *any* classifier over the grid (the paper notes this
-    generality), and exact by construction.  ``cell_limit`` refuses spaces
-    whose enumeration would be intractable.
-    """
-    started = time.perf_counter()
-    winning = [
-        cell for cell in space.iter_cells(limit=cell_limit)
-        if predict_cell(cell) == target
-    ]
-    regions = cover_cells(space, winning)
-    predicate = intern(regions_to_predicate(regions, space))
-    return EnvelopeResult(
-        class_label=class_label,
-        regions=tuple(regions),
-        predicate=predicate,
-        nodes_expanded=len(winning),
-        ambiguous_kept=0,
-        exact=True,
-        seconds=time.perf_counter() - started,
-    )
-
-
-def enumerate_envelope_for_table(
-    table: ScoreTable,
-    class_label: Value,
-    cell_limit: int = DEFAULT_ENUMERATION_LIMIT,
-) -> EnvelopeResult:
-    """Enumeration baseline specialized to an exact score table."""
-    if not table.is_exact():
-        raise EnvelopeError(
-            "enumeration needs exact cell scores; interval tables (binned "
-            "clustering) have no single per-cell winner"
-        )
-    target = table.class_index(class_label)
-    return enumerate_envelope(
-        table.space, table.predict_cell, target, class_label, cell_limit
-    )
-
-
-def envelope_grid_selectivity(
-    result: EnvelopeResult, space: AttributeSpace, cell_limit: int = 1_000_000
-) -> float:
-    """Fraction of grid cells covered by the envelope (a tightness proxy).
-
-    Note this is *uniform over cells*; the Figure 7 experiment instead
-    measures selectivity over actual data rows, which is what matters for
-    access-path selection.
-    """
-    total = space.cell_count()
-    if total > cell_limit:
-        raise EnvelopeError(
-            f"space has {total} cells, above the counting limit"
-        )
-    covered = 0
-    for cell in space.iter_cells(limit=cell_limit):
-        if any(region.contains(cell) for region in result.regions):
-            covered += 1
-    return covered / total
 
 
 def predicate_for_labels(

@@ -201,43 +201,6 @@ class ScoreTable:
             return int(best[0])
         return int(min(best, key=lambda k: self.tie_ranks[k]))
 
-    def two_class_ratio(self, target: int) -> "ScoreTable":
-        """The Lemma 3.2 transform for K=2.
-
-        Scores become the per-member log-ratio against the other class
-        (``Pr'(v|c_k) = Pr(v|c_k) / Pr(v|c_other)``); the resulting bounds
-        make MUST-WIN / MUST-LOSE *exact* rather than merely sound, because
-        with a single opponent the worst case over a region is attained at an
-        actual cell.  Interval tables combine conservatively
-        (``lo_k - hi_j``, ``hi_k - lo_j``).
-        """
-        if self.n_classes != 2:
-            raise EnvelopeError(
-                "the two-class ratio transform needs exactly 2 classes"
-            )
-        other = 1 - target
-        lo: list[np.ndarray] = []
-        hi: list[np.ndarray] = []
-        for lo_d, hi_d in zip(self.lo, self.hi):
-            ratio_lo = np.empty_like(lo_d)
-            ratio_hi = np.empty_like(hi_d)
-            ratio_lo[target] = lo_d[target] - hi_d[other]
-            ratio_hi[target] = hi_d[target] - lo_d[other]
-            ratio_lo[other] = np.zeros(lo_d.shape[1])
-            ratio_hi[other] = np.zeros(hi_d.shape[1])
-            lo.append(ratio_lo)
-            hi.append(ratio_hi)
-        biases_full = np.zeros(2)
-        biases_full[target] = self.biases[target] - self.biases[other]
-        return ScoreTable(
-            self.space,
-            self.class_labels,
-            biases_full,
-            lo,
-            hi,
-            tie_ranks=self.tie_ranks,
-        )
-
 
 def quadratic_range(
     a: float,

@@ -258,9 +258,13 @@ def render_experiments_md(config: ExperimentConfig = DEFAULT_CONFIG) -> str:
         "bounds at equal budget.\n"
         "- **A3 enumeration** (`benchmarks/test_ablation_enumeration.py`): "
         "the naive enumerate-and-cover baseline is exact while feasible "
-        "and is refused beyond ~10^5 cells, while the top-down search "
-        "keeps answering in seconds — the paper's '>24 hours' cliff in "
-        "miniature.\n"
+        "and is refused beyond ~10^5 cells.  Where both run, enumeration "
+        "is the faster: at 5 dims (32,768 cells) it takes about 2 s "
+        "against about 50 s for the top-down search on a two-core "
+        "machine, most of that spent coarsening the result to 48 "
+        "disjuncts.  Past the guard only the top-down search answers "
+        "(2-4 s at 7 dims, 2,097,152 cells) — the paper's '>24 hours' "
+        "cliff in miniature.\n"
         "- **A4 bounds mode** (`benchmarks/test_ablation_bounds_mode.py`): "
         "the pairwise-difference generalization of Lemma 3.2 is never "
         "looser than the paper's separate bounds at equal budget, and "

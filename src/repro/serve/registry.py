@@ -10,14 +10,17 @@ share storage and fingerprint memos), and publishes the model into the
 live :class:`~repro.core.catalog.ModelCatalog` the query service
 executes against.
 
-Derived envelopes are cached under the model's *content fingerprint*
-(:func:`model_fingerprint`, a digest of ``model.to_dict()``), so
+Derived envelopes are cached under a digest of everything derivation
+reads: the model's *content fingerprint* (:func:`model_fingerprint`, a
+digest of ``model.to_dict()``), the registry's ``max_nodes`` and ``bins``,
+and the training rows that discretize clustering features.  So
 retire-and-redeploy cycles — and deploys of a structurally identical
 model under another version — warm-start instead of re-deriving
-(``serve.registry.warm_start.hit`` / ``.miss`` counters).  With a
+(``serve.registry.warm_start.hit`` / ``.miss`` counters), while a registry
+with another budget never serves envelopes derived under this one.  With a
 ``cache_dir`` (or ``REPRO_ENVELOPE_CACHE_DIR``), the cache also
 **persists**: every fresh derivation is written as
-``envelopes_<fingerprint>.json`` with the sweep cache's atomic
+``envelopes_<cache key>.json`` with the sweep cache's atomic
 tempfile + ``os.replace`` discipline, so a new process — a restarted
 service, a respawned :class:`~repro.serve.router.ProcessRouter` worker —
 skips re-derivation entirely (``serve.registry.warm_start.disk_hit`` /
@@ -57,20 +60,24 @@ ENV_ENVELOPE_CACHE_DIR = "REPRO_ENVELOPE_CACHE_DIR"
 
 #: Format stamp of the on-disk envelope cache; bump on layout changes
 #: (old files are then treated as misses, not errors).
-_DISK_FORMAT = 1
+_DISK_FORMAT = 2
+
+
+def _digest(value: object) -> str:
+    payload = json.dumps(
+        value, sort_keys=True, default=str, separators=(",", ":")
+    )
+    return hashlib.sha256(payload.encode("utf-8")).hexdigest()
 
 
 def model_fingerprint(model: MiningModel) -> str:
     """Stable content digest of a model (its ``to_dict`` serialization).
 
     Two models with identical content — same structure, same parameters —
-    share a fingerprint and therefore share derived envelopes in the
-    registry's warm-start cache.
+    share a fingerprint and therefore, under equal derivation inputs,
+    share derived envelopes in the registry's warm-start cache.
     """
-    payload = json.dumps(
-        model.to_dict(), sort_keys=True, default=str, separators=(",", ":")
-    )
-    return hashlib.sha256(payload.encode("utf-8")).hexdigest()
+    return _digest(model.to_dict())
 
 
 @dataclass
@@ -81,6 +88,10 @@ class ModelVersion:
     version: int
     model: MiningModel
     fingerprint: str
+    #: Warm-start cache key: digest of ``fingerprint`` with every other
+    #: input of derivation (the registry's ``max_nodes`` and ``bins``, and
+    #: ``rows``).
+    cache_key: str
     #: Training rows retained for derivation (clustering families need
     #: them to discretize continuous features); ``None`` otherwise.
     rows: Sequence[Row] | None = None
@@ -120,7 +131,7 @@ class ModelRegistry:
         self._lock = threading.RLock()
         self._versions: dict[str, list[ModelVersion]] = {}
         self._deployed: dict[str, ModelVersion] = {}
-        #: model content fingerprint -> interned envelopes (warm-start).
+        #: cache key -> interned envelopes (warm-start).
         self._envelope_cache: dict[
             str, tuple[dict[Value, UpperEnvelope], float]
         ] = {}
@@ -140,16 +151,25 @@ class ModelRegistry:
     ) -> ModelVersion:
         """Add a new version of ``model.name``; optionally deploy it.
 
-        Registration is cheap (a fingerprint over model content); the
+        Registration is cheap (digests of model content and ``rows``); the
         expensive envelope derivation happens at :meth:`deploy`.
         """
         with self._lock:
             history = self._versions.setdefault(model.name, [])
+            fingerprint = model_fingerprint(model)
             entry = ModelVersion(
                 name=model.name,
                 version=len(history) + 1,
                 model=model,
-                fingerprint=model_fingerprint(model),
+                fingerprint=fingerprint,
+                cache_key=_digest(
+                    [
+                        fingerprint,
+                        self._max_nodes,
+                        self._bins,
+                        None if rows is None else _digest(list(rows)),
+                    ]
+                ),
                 rows=rows,
             )
             history.append(entry)
@@ -166,9 +186,10 @@ class ModelRegistry:
         """Make one registered version live (default: the newest).
 
         Derives and interns the version's envelopes unless a structurally
-        identical model was deployed before, in which case the envelope
-        cache warm-starts the deployment.  Publishing bumps the catalog
-        version, invalidating every cached plan against the old envelopes.
+        identical model was deployed before under the same derivation
+        inputs, in which case the envelope cache warm-starts the
+        deployment.  Publishing bumps the catalog version, invalidating
+        every cached plan against the old envelopes.
         """
         with self._lock:
             entry = self._resolve(name, version)
@@ -176,14 +197,14 @@ class ModelRegistry:
                 "serve.deploy", model=name, version=entry.version
             ) as span:
                 if entry.envelopes is None:
-                    cached = self._envelope_cache.get(entry.fingerprint)
+                    cached = self._envelope_cache.get(entry.cache_key)
                     if cached is None:
-                        cached = self._disk_load(entry.fingerprint)
+                        cached = self._disk_load(entry.cache_key)
                     if cached is not None:
                         obs.add_counter("serve.registry.warm_start.hit")
                         span.set("warm_start", True)
                         entry.envelopes, entry.derive_seconds = cached
-                        self._envelope_cache[entry.fingerprint] = cached
+                        self._envelope_cache[entry.cache_key] = cached
                     else:
                         obs.add_counter("serve.registry.warm_start.miss")
                         span.set("warm_start", False)
@@ -203,12 +224,12 @@ class ModelRegistry:
                         entry.derive_seconds = sum(
                             e.seconds for e in entry.envelopes.values()
                         )
-                        self._envelope_cache[entry.fingerprint] = (
+                        self._envelope_cache[entry.cache_key] = (
                             entry.envelopes,
                             entry.derive_seconds,
                         )
                         self._disk_store(
-                            entry.fingerprint,
+                            entry.cache_key,
                             entry.envelopes,
                             entry.derive_seconds,
                         )
@@ -255,12 +276,12 @@ class ModelRegistry:
 
     # -- on-disk warm-start cache ------------------------------------------
 
-    def _disk_path(self, fingerprint: str) -> Path:
+    def _disk_path(self, key: str) -> Path:
         assert self._cache_dir is not None
-        return self._cache_dir / f"envelopes_{fingerprint}.json"
+        return self._cache_dir / f"envelopes_{key}.json"
 
     def _disk_load(
-        self, fingerprint: str
+        self, key: str
     ) -> "tuple[dict[Value, UpperEnvelope], float] | None":
         """Warm-start envelopes from disk; ``None`` on any defect.
 
@@ -276,13 +297,13 @@ class ModelRegistry:
         from repro.serve.protocol import decode_predicate, decode_value
 
         try:
-            with self._disk_path(fingerprint).open(
+            with self._disk_path(key).open(
                 encoding="utf-8"
             ) as stream:
                 payload = json.load(stream)
             if (
                 payload["format"] != _DISK_FORMAT
-                or payload["fingerprint"] != fingerprint
+                or payload["fingerprint"] != key
             ):
                 raise ValueError("format or fingerprint mismatch")
             envelopes: dict[Value, UpperEnvelope] = {}
@@ -308,7 +329,7 @@ class ModelRegistry:
 
     def _disk_store(
         self,
-        fingerprint: str,
+        key: str,
         envelopes: "dict[Value, UpperEnvelope]",
         derive_seconds: float,
     ) -> None:
@@ -325,7 +346,7 @@ class ModelRegistry:
 
         payload = {
             "format": _DISK_FORMAT,
-            "fingerprint": fingerprint,
+            "fingerprint": key,
             "derive_seconds": derive_seconds,
             "envelopes": [
                 {
@@ -346,7 +367,7 @@ class ModelRegistry:
         try:
             self._cache_dir.mkdir(parents=True, exist_ok=True)
             descriptor, temp_name = tempfile.mkstemp(
-                prefix=f"envelopes_{fingerprint}.",
+                prefix=f"envelopes_{key}.",
                 suffix=".tmp",
                 dir=self._cache_dir,
             )
@@ -355,7 +376,7 @@ class ModelRegistry:
                     descriptor, "w", encoding="utf-8"
                 ) as stream:
                     json.dump(payload, stream, separators=(",", ":"))
-                os.replace(temp_name, self._disk_path(fingerprint))
+                os.replace(temp_name, self._disk_path(key))
             except BaseException:
                 os.unlink(temp_name)
                 raise

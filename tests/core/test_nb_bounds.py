@@ -1,18 +1,21 @@
 """Unit tests for region bounds, shrink, and entropy split."""
 
+import itertools
+
 import numpy as np
 import pytest
 
 from repro.core.derive import score_table_from_naive_bayes
 from repro.core.nb_bounds import (
-    BoundsMode,
     RegionBounds,
     RegionStatus,
-    classify_region,
     entropy_split,
     shrink_region,
 )
-from repro.core.regions import Region
+from repro.core.regions import AttributeSpace, CategoricalDimension, Region
+from repro.core.score_model import ScoreTable
+from repro.experiments.ablation import SeparateBounds
+from repro.mining.naive_bayes import naive_bayes_from_tables
 
 
 @pytest.fixture()
@@ -35,7 +38,7 @@ class TestRegionBoundsSeparate:
         """
         region = Region.full(table.space)
         target = label_index(table, "c1")
-        bounds = RegionBounds(table, region, target)
+        bounds = SeparateBounds(table, region, target)
         assert np.exp(bounds.min_score) == pytest.approx(
             [0.33 * 0.05 * 0.01, 0.5 * 0.1 * 0.1, 0.17 * 0.05 * 0.05],
             rel=1e-9,
@@ -55,13 +58,15 @@ class TestRegionBoundsSeparate:
         """
         region = Region(((0, 1), (1, 2)))
         target = label_index(table, "c1")
-        assert classify_region(table, region, target) is RegionStatus.MUST_WIN
+        status = SeparateBounds(table, region, target).status()
+        assert status is RegionStatus.MUST_WIN
 
     def test_must_lose_region(self, table):
         # d1 = m01 (member 0) always predicts c2, so c1 loses there.
         region = Region(((0, 1, 2, 3), (0,)))
         target = label_index(table, "c1")
-        assert classify_region(table, region, target) is RegionStatus.MUST_LOSE
+        status = SeparateBounds(table, region, target).status()
+        assert status is RegionStatus.MUST_LOSE
 
     def test_statuses_consistent_with_cells(self, table):
         """MUST_WIN/MUST_LOSE verdicts must agree with per-cell predictions."""
@@ -74,7 +79,7 @@ class TestRegionBoundsSeparate:
         ]
         for target in range(3):
             for region in regions:
-                status = classify_region(table, region, target)
+                status = SeparateBounds(table, region, target).status()
                 cell_wins = [
                     table.predict_cell(cell) == target
                     for cell in region.iter_cells()
@@ -92,12 +97,8 @@ class TestRegionBoundsPairwise:
             for a in range(4):
                 for c in range(3):
                     region = Region(((a,), (c,)))
-                    separate = classify_region(
-                        table, region, target, BoundsMode.SEPARATE
-                    )
-                    pairwise = classify_region(
-                        table, region, target, BoundsMode.PAIRWISE
-                    )
+                    separate = SeparateBounds(table, region, target).status()
+                    pairwise = RegionBounds(table, region, target).status()
                     if separate is not RegionStatus.AMBIGUOUS:
                         assert pairwise is separate
 
@@ -106,9 +107,7 @@ class TestRegionBoundsPairwise:
         for target in range(3):
             for cell in table.space.iter_cells():
                 region = Region(tuple((m,) for m in cell))
-                status = classify_region(
-                    table, region, target, BoundsMode.PAIRWISE
-                )
+                status = RegionBounds(table, region, target).status()
                 predicted = table.predict_cell(cell)
                 if predicted == target:
                     assert status is RegionStatus.MUST_WIN
@@ -118,9 +117,7 @@ class TestRegionBoundsPairwise:
     def test_soundness_on_larger_regions(self, table):
         for target in range(3):
             region = Region(((0, 1, 2), (0, 1)))
-            status = classify_region(
-                table, region, target, BoundsMode.PAIRWISE
-            )
+            status = RegionBounds(table, region, target).status()
             cell_wins = [
                 table.predict_cell(cell) == target
                 for cell in region.iter_cells()
@@ -129,6 +126,79 @@ class TestRegionBoundsPairwise:
                 assert all(cell_wins)
             elif status is RegionStatus.MUST_LOSE:
                 assert not any(cell_wins)
+
+
+    def test_two_class_verdicts_equal_lemma_3_2(self):
+        """At K=2 the pairwise verdicts are the paper's exact ones.
+
+        Lemma 3.2 rewrites each score as the log-ratio against the single
+        opponent and applies the separate bounds to that table.  On every
+        region of small random two-class models, ``status()`` and the
+        shrink step's ``members_must_lose`` agree with it exactly.
+        """
+        rng = np.random.default_rng(7)
+        for _ in range(12):
+            sizes = rng.integers(2, 4, size=rng.integers(2, 4))
+            space = AttributeSpace(
+                tuple(
+                    CategoricalDimension(
+                        f"d{i}", tuple(f"v{j}" for j in range(size))
+                    )
+                    for i, size in enumerate(sizes)
+                )
+            )
+            model = naive_bayes_from_tables(
+                "nb2",
+                "cls",
+                space,
+                ["c0", "c1"],
+                rng.dirichlet(np.ones(2)).tolist(),
+                [
+                    rng.dirichlet(np.ones(size) * 0.6, size=2).tolist()
+                    for size in sizes
+                ],
+            )
+            table = score_table_from_naive_bayes(model)
+            subsets = [
+                [
+                    members
+                    for r in range(1, size + 1)
+                    for members in itertools.combinations(range(size), r)
+                ]
+                for size in sizes
+            ]
+            for target in (0, 1):
+                ratio = _lemma_3_2_table(table, target)
+                for members in itertools.product(*subsets):
+                    region = Region(members)
+                    product = RegionBounds(table, region, target)
+                    paper = SeparateBounds(ratio, region, target)
+                    assert product.status() is paper.status(), region
+                    for d, dim_members in enumerate(members):
+                        index = np.asarray(dim_members)
+                        assert np.array_equal(
+                            product.members_must_lose(d, index),
+                            paper.members_must_lose(d, index),
+                        ), (region, d)
+
+
+def _lemma_3_2_table(table, target):
+    """Paper Lemma 3.2 for K=2: scores become log-ratios to the opponent."""
+    other = 1 - target
+    lo, hi = [], []
+    for lo_d, hi_d in zip(table.lo, table.hi):
+        ratio_lo = np.zeros_like(lo_d)
+        ratio_hi = np.zeros_like(hi_d)
+        ratio_lo[target] = lo_d[target] - hi_d[other]
+        ratio_hi[target] = hi_d[target] - lo_d[other]
+        lo.append(ratio_lo)
+        hi.append(ratio_hi)
+    biases = np.zeros(2)
+    biases[target] = table.biases[target] - table.biases[other]
+    return ScoreTable(
+        table.space, table.class_labels, biases, lo, hi,
+        tie_ranks=table.tie_ranks,
+    )
 
 
 class TestShrink:

@@ -3,15 +3,15 @@
 import pytest
 
 from repro.core.derive import score_table_from_naive_bayes
-from repro.core.nb_bounds import BoundsMode
-from repro.core.nb_envelope import (
-    derive_all_envelopes,
-    derive_envelope,
+from repro.core.nb_bounds import RegionBounds
+from repro.core.nb_envelope import derive_envelope
+from repro.core.predicates import FalsePredicate
+from repro.exceptions import EnvelopeError
+from repro.experiments.ablation import (
+    SeparateBounds,
     enumerate_envelope_for_table,
     envelope_grid_selectivity,
 )
-from repro.core.predicates import FalsePredicate
-from repro.exceptions import EnvelopeError
 
 
 @pytest.fixture()
@@ -38,10 +38,12 @@ def assert_sound(model, table, result):
 class TestDeriveEnvelope:
     @pytest.mark.parametrize("label", ["c1", "c2", "c3"])
     @pytest.mark.parametrize(
-        "mode", [BoundsMode.SEPARATE, BoundsMode.PAIRWISE]
+        "bounds",
+        [SeparateBounds, RegionBounds],
+        ids=["BoundsMode.SEPARATE", "BoundsMode.PAIRWISE"],
     )
-    def test_soundness(self, paper_table1_nb, table, label, mode):
-        result = derive_envelope(table, label, bounds_mode=mode)
+    def test_soundness(self, paper_table1_nb, table, label, bounds):
+        result = derive_envelope(table, label, bounds=bounds)
         assert_sound(paper_table1_nb, table, result)
 
     def test_paper_worked_example_exact(self, paper_table1_nb, table):
@@ -76,11 +78,6 @@ class TestDeriveEnvelope:
         assert_sound(paper_table1_nb, table, result)
         assert not result.exact or result.ambiguous_kept == 0
 
-    def test_merge_reduces_disjuncts(self, table):
-        merged = derive_envelope(table, "c2", merge=True)
-        unmerged = derive_envelope(table, "c2", merge=False)
-        assert len(merged.regions) <= len(unmerged.regions)
-
     def test_max_regions_cap(self, table):
         result = derive_envelope(table, "c2", max_regions=1)
         assert len(result.regions) <= 1
@@ -92,10 +89,6 @@ class TestDeriveEnvelope:
     def test_unknown_label_rejected(self, table):
         with pytest.raises(EnvelopeError):
             derive_envelope(table, "nope")
-
-    def test_no_shrink_still_sound(self, paper_table1_nb, table):
-        result = derive_envelope(table, "c1", shrink=False)
-        assert_sound(paper_table1_nb, table, result)
 
     def test_unreachable_class_gives_false(self):
         """A class whose prior is vanishingly small never wins anywhere."""
@@ -120,7 +113,10 @@ class TestDeriveEnvelope:
 class TestDeriveAllEnvelopes:
     def test_partition_coverage(self, paper_table1_nb, table):
         """Per-class envelopes must jointly cover the whole grid."""
-        envelopes = derive_all_envelopes(table)
+        envelopes = {
+            label: derive_envelope(table, label)
+            for label in table.class_labels
+        }
         for cell in table.space.iter_cells():
             row = row_for_cell(paper_table1_nb, cell)
             assert any(

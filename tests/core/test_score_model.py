@@ -96,23 +96,6 @@ class TestScoreTable:
                 diff_hi=None,  # must come together
             )
 
-    def test_two_class_ratio_preserves_prediction(self, tiny_table):
-        for target in (0, 1):
-            ratio = tiny_table.two_class_ratio(target)
-            for cell in tiny_table.space.iter_cells():
-                original = tiny_table.predict_cell(cell)
-                transformed = ratio.predict_cell(cell)
-                assert (original == target) == (transformed == target)
-
-    def test_two_class_ratio_requires_two_classes(self):
-        space = AttributeSpace((CategoricalDimension("a", ("x",)),))
-        lo = [np.zeros((3, 1))]
-        table = ScoreTable(
-            space, ("c0", "c1", "c2"), np.zeros(3), lo, [t.copy() for t in lo]
-        )
-        with pytest.raises(EnvelopeError):
-            table.two_class_ratio(0)
-
     def test_interval_table_rejects_cell_scores(self):
         space = AttributeSpace((CategoricalDimension("a", ("x",)),))
         lo = [np.array([[0.0]])]

@@ -4,8 +4,8 @@ import pytest
 
 from repro.experiments import SMOKE_CONFIG, dataset_for, run_all, train_family
 from repro.experiments.ablation import (
+    bounds_comparison,
     enumeration_comparison,
-    two_class_comparison,
 )
 from repro.experiments.config import ExperimentConfig
 from repro.experiments.harness import numeric_feature_columns
@@ -143,8 +143,11 @@ class TestAblations:
         config = ExperimentConfig(
             train_cap=200, nb_bins=4, max_nodes=100
         )
-        rows = two_class_comparison(datasets=("diabetes",), config=config)
-        assert {r.mode for r in rows} == {"generic", "exact-2class"}
+        rows = bounds_comparison(
+            datasets=("diabetes",), config=config, train_size=1_000,
+            max_nodes=config.max_nodes,
+        )
+        assert [r.mode for r in rows] == ["separate", "pairwise"]
 
     def test_enumeration_comparison(self):
         rows = enumeration_comparison(dims_range=(2, 3), members_per_dim=4)

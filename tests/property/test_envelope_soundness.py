@@ -16,11 +16,15 @@ from repro.core.derive import (
     naive_bayes_envelopes,
     score_table_from_naive_bayes,
 )
-from repro.core.nb_bounds import BoundsMode
-from repro.core.nb_envelope import derive_envelope, enumerate_envelope_for_table
+from repro.core.nb_bounds import RegionBounds
+from repro.core.nb_envelope import derive_envelope
 from repro.core.regions import AttributeSpace, CategoricalDimension
 from repro.core.tree_envelope import tree_envelopes
 from repro.core.rule_envelope import rule_envelopes
+from repro.experiments.ablation import (
+    SeparateBounds,
+    enumerate_envelope_for_table,
+)
 from repro.mining.decision_tree import DecisionTreeLearner
 from repro.mining.naive_bayes import naive_bayes_from_tables
 from repro.mining.rules import RuleLearner
@@ -82,13 +86,13 @@ class TestNaiveBayesSoundness:
 
     @given(
         random_naive_bayes(),
-        st.sampled_from([BoundsMode.SEPARATE, BoundsMode.PAIRWISE]),
+        st.sampled_from([SeparateBounds, RegionBounds]),
     )
     @settings(max_examples=40, deadline=None)
-    def test_soundness_under_both_bound_modes(self, model, mode):
+    def test_soundness_under_both_bound_modes(self, model, bounds):
         table = score_table_from_naive_bayes(model)
         for label in model.class_labels:
-            result = derive_envelope(table, label, bounds_mode=mode)
+            result = derive_envelope(table, label, bounds=bounds)
             target = table.class_index(label)
             for cell in model.space.iter_cells():
                 if table.predict_cell(cell) == target:

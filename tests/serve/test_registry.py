@@ -115,7 +115,7 @@ class TestDiskEnvelopeCache:
         self, tmp_path, customer_tree
     ):
         _, entry = self._deploy(customer_tree, tmp_path)
-        target = tmp_path / f"envelopes_{entry.fingerprint}.json"
+        target = tmp_path / f"envelopes_{entry.cache_key}.json"
         assert target.exists()
         # No stray tempfiles after the atomic replace.
         assert list(tmp_path.glob("*.tmp")) == []
@@ -167,7 +167,7 @@ class TestDiskEnvelopeCache:
         from repro.serve import registry as registry_module
 
         _, entry = self._deploy(customer_tree, tmp_path)
-        target = tmp_path / f"envelopes_{entry.fingerprint}.json"
+        target = tmp_path / f"envelopes_{entry.cache_key}.json"
         target.write_text("{ not json", encoding="utf-8")
         counted: list[str] = []
         monkeypatch.setattr(
@@ -181,13 +181,47 @@ class TestDiskEnvelopeCache:
         # The re-derivation healed the cache file.
         assert "not json" not in target.read_text(encoding="utf-8")
 
+    def test_registry_with_another_budget_rederives(
+        self, tmp_path, customer_nb, monkeypatch
+    ):
+        """Derivation reads ``max_nodes``, so the cache key must too.
+
+        A registry at a zero budget and one at 100 share a cache
+        directory; the second must not serve the first's looser
+        envelopes.
+        """
+        from repro.serve import registry as registry_module
+
+        def predicates(entry):
+            return {
+                label: envelope.predicate
+                for label, envelope in entry.envelopes.items()
+            }
+
+        small = ModelRegistry(max_nodes=0, cache_dir=tmp_path)
+        loose = small.register(customer_nb, deploy=True)
+        counted: list[str] = []
+        monkeypatch.setattr(
+            registry_module.obs,
+            "add_counter",
+            lambda name, value=1: counted.append(name),
+        )
+        large = ModelRegistry(max_nodes=100, cache_dir=tmp_path)
+        served = large.register(customer_nb, deploy=True)
+        assert "serve.registry.warm_start.disk_miss" in counted
+        uncached = ModelRegistry(max_nodes=100).register(
+            customer_nb, deploy=True
+        )
+        assert predicates(served) == predicates(uncached)
+        assert predicates(loose) != predicates(uncached)
+
     def test_fingerprint_mismatch_is_rejected(
         self, tmp_path, customer_tree
     ):
         import json
 
         _, entry = self._deploy(customer_tree, tmp_path)
-        target = tmp_path / f"envelopes_{entry.fingerprint}.json"
+        target = tmp_path / f"envelopes_{entry.cache_key}.json"
         payload = json.loads(target.read_text(encoding="utf-8"))
         payload["fingerprint"] = "0" * 16
         target.write_text(json.dumps(payload), encoding="utf-8")
@@ -205,7 +239,7 @@ class TestDiskEnvelopeCache:
         registry = ModelRegistry(max_nodes=100)
         registry.register(customer_tree)
         entry = registry.deploy("risk_tree")
-        target = tmp_path / f"envelopes_{entry.fingerprint}.json"
+        target = tmp_path / f"envelopes_{entry.cache_key}.json"
         assert target.exists()
 
     def test_no_cache_dir_means_no_files(self, customer_tree, tmp_path):
