@@ -16,13 +16,6 @@ sorting and ``take`` compaction, re-lowering every atom occurrence.
 paths' masks are compared byte-for-byte on every batch — the speedup
 is only reported if the answers are identical.
 
-The payload also records the UNION-of-index-range SQL lowering on a
-demonstration table where SQLite's own multi-index OR declines: a
-low-cardinality indexed segment column with per-segment range guards,
-where the flat OR full-scans but each disjunct alone can seek the
-index.  ``capture_select_plan`` must adopt the union and the union's
-row multiset must match the flat query's.
-
 ``run_disjunction_bench`` returns the JSON-ready payload written to
 ``BENCH_disjunction.json`` by ``python -m repro disjunction-bench``.
 """
@@ -45,7 +38,6 @@ from repro.core.predicates import (
     InSet,
     Interval,
     Not,
-    Op,
     Or,
     Predicate,
     SelectivityEstimator,
@@ -56,11 +48,7 @@ from repro.core.predicates import (
 from repro.exceptions import ReproError
 from repro.experiments.benches import count_flag, row_batches
 from repro.experiments.config import ExperimentConfig, SMOKE_CONFIG
-from repro.experiments.harness import (
-    dataset_for,
-    numeric_feature_columns,
-    train_family,
-)
+from repro.experiments.harness import dataset_for, train_family
 from repro.ir import intern
 from repro.ir.batch import (
     BatchLowering,
@@ -72,23 +60,11 @@ from repro.ir.batch import (
     reset_plan_memo,
 )
 from repro.ir.visitor import PredicateVisitor
-from repro.sql.compiler import select_statement
-from repro.sql.database import Database, load_table
-from repro.sql.planner import capture_plan, capture_select_plan
 from repro.sql.stats import build_table_stats, estimate_selectivity
 from repro.workload.measurement import (
     FAMILY_CLUSTERING,
     FAMILY_NAIVE_BAYES,
 )
-
-#: Segment cardinality of the union-lowering demo table.  Low enough
-#: that, with ANALYZE, SQLite prices the flat OR's summed index probes
-#: above one sequential scan and falls back to SCAN — the regime the
-#: disjoint UNION ALL lowering exists for.
-DEMO_SEGMENTS = 4
-#: Rows loaded into the demo table (dataset rows cycled).
-DEMO_ROWS = 20_000
-
 
 # ---------------------------------------------------------------------------
 # Naive reference lowering (the pre-cache clause-by-clause strategy)
@@ -243,20 +219,15 @@ def evaluate_batch_naive(
 
 def widest_envelopes(
     config: ExperimentConfig, dataset_name: str
-) -> tuple[list[dict], list[dict], tuple[str, ...]]:
+) -> tuple[list[dict], list[dict]]:
     """The widest NB and clustering envelope per family, interned.
 
-    Returns ``(cases, source_rows, feature_columns)`` where each case
-    carries the family, class label, interned predicate, and structural
-    counts for the payload.  Width is the top-level disjunct count —
+    Returns ``(cases, source_rows)`` where each case carries the
+    family, class label, interned predicate, and structural counts for
+    the payload.  Width is the top-level disjunct count —
     the quantity the mask cache's per-disjunct sharing scales with.
     """
     dataset = dataset_for(config, dataset_name)
-    columns = numeric_feature_columns(dataset)
-    if not columns:
-        raise ReproError(
-            f"dataset {dataset_name!r} has no numeric feature columns"
-        )
     cases: list[dict] = []
     for family in (FAMILY_NAIVE_BAYES, FAMILY_CLUSTERING):
         trained = train_family(dataset, family, config)
@@ -274,7 +245,7 @@ def widest_envelopes(
                 "atoms": atom_count(predicate),
             }
         )
-    return cases, list(dataset.train_rows), columns
+    return cases, list(dataset.train_rows)
 
 
 def _verify_identical(
@@ -348,73 +319,6 @@ def _bench_envelope(
     }
 
 
-def union_lowering_demo(source_rows: list[dict], feature: str) -> dict:
-    """Build the full-scan-vs-union demo table and capture both plans.
-
-    The table cycles the dataset's rows into ``DEMO_ROWS`` rows tagged
-    with a ``seg`` column of ``DEMO_SEGMENTS`` distinct values, indexed
-    and ANALYZEd.  The query ORs per-segment range guards: SQLite costs
-    the flat OR's index probes above a sequential scan (every branch
-    hits ~1/DEMO_SEGMENTS of the table) and SCANs, while each disjunct
-    alone seeks the segment index — so ``capture_select_plan`` adopts
-    the disjoint UNION ALL form.  Both forms' row multisets are
-    compared before the demo is reported.
-    """
-    values = np.asarray([float(row[feature]) for row in source_rows])
-    cuts = np.quantile(values, np.linspace(0.35, 0.65, DEMO_SEGMENTS))
-    repeats = -(-DEMO_ROWS // len(source_rows))
-    demo_rows = [
-        {"seg": i % DEMO_SEGMENTS, feature: float(row[feature])}
-        for i, row in enumerate((source_rows * repeats)[:DEMO_ROWS])
-    ]
-    table = "disjunction_demo"
-    db = Database()
-    load_table(db, table, demo_rows)
-    db.create_index(table, ["seg"])
-    db.analyze()
-
-    predicate = Or(
-        tuple(
-            And(
-                (
-                    Comparison("seg", Op.EQ, segment),
-                    Comparison(feature, Op.LT, float(cuts[segment])),
-                )
-            )
-            for segment in range(DEMO_SEGMENTS)
-        )
-    )
-    flat_plan = capture_plan(db, table, predicate)
-    select = capture_select_plan(db, table, predicate)
-    if not select.used_union:
-        raise ReproError(
-            "disjunction-bench: union lowering was not adopted for the "
-            f"demo query (flat plan: {flat_plan.access_path.value})"
-        )
-
-    flat_rows = sorted(
-        map(repr, db.query_rows(select_statement(table, predicate)))
-    )
-    union_rows = sorted(map(repr, db.query_rows(select.sql)))
-    if flat_rows != union_rows:
-        raise ReproError(
-            "disjunction-bench: union lowering changed the result "
-            f"multiset ({len(flat_rows)} flat vs {len(union_rows)} union)"
-        )
-    return {
-        "table": table,
-        "rows": len(demo_rows),
-        "segments": DEMO_SEGMENTS,
-        "branches": select.branches,
-        "flat_access_path": flat_plan.access_path.value,
-        "union_access_path": select.plan.access_path.value,
-        "used_union": select.used_union,
-        "index_names": list(select.plan.index_names),
-        "rows_matched": len(union_rows),
-        "rows_identical": True,
-    }
-
-
 def run_disjunction_bench(
     config: ExperimentConfig | None = None,
     dataset_name: str = "diabetes",
@@ -422,10 +326,10 @@ def run_disjunction_bench(
     batch_size: int = 512,
     seed: int = 11,
 ) -> dict:
-    """The full benchmark: envelopes, naive vs cached, union demo."""
+    """The full benchmark: envelopes, naive vs cached."""
     config = config or SMOKE_CONFIG
     with obs.span("disjunction.bench", dataset=dataset_name, rows=rows):
-        cases, source_rows, columns = widest_envelopes(config, dataset_name)
+        cases, source_rows = widest_envelopes(config, dataset_name)
         stats = build_table_stats("disjunction_bench", source_rows)
 
         def estimator(predicate: Predicate) -> float:
@@ -440,7 +344,6 @@ def run_disjunction_bench(
         ]
         naive_total = sum(r["naive_seconds"] for r in envelope_reports)
         cached_total = sum(r["cached_seconds"] for r in envelope_reports)
-        union = union_lowering_demo(source_rows, columns[0])
         return {
             "benchmark": "disjunction_execution",
             "dataset": dataset_name,
@@ -454,7 +357,6 @@ def run_disjunction_bench(
                 "cached_seconds": round(cached_total, 4),
                 "speedup": round(naive_total / cached_total, 2),
             },
-            "union_lowering": union,
         }
 
 
@@ -467,7 +369,6 @@ def run(config: ExperimentConfig, args: argparse.Namespace) -> dict:
 
 
 def summary(report: dict) -> list[str]:
-    union = report["union_lowering"]
     return [
         f"{envelope['family']}/{envelope['label']}: "
         f"{envelope['disjuncts']} disjuncts, "
@@ -477,8 +378,5 @@ def summary(report: dict) -> list[str]:
         f"{envelope['share_ratio']:.2f})"
         for envelope in report["envelopes"]
     ] + [
-        f"union lowering: flat {union['flat_access_path']} -> "
-        f"{union['branches']} branches {union['union_access_path']} "
-        f"(rows identical: {union['rows_identical']})",
         f"overall speedup {report['overall']['speedup']:.2f}x",
     ]

@@ -214,16 +214,13 @@ class TraceSummary:
         return stats
 
     def disjunction(self) -> dict[str, float]:
-        """Disjunction-execution statistics from ``ir.batch.*`` and
-        ``sql.lowering.*`` telemetry.
+        """Disjunction-execution statistics from ``ir.batch.*`` telemetry.
 
         Empty when no batch evaluation ran.  Mask traffic comes from
         ``ir.batch.mask.computed`` / ``ir.batch.mask.shared`` (the share
         rate is the fraction of node evaluations answered from the
         per-batch interned-node cache), operand planning from
-        ``ir.batch.plan.hit`` / ``ir.batch.plan.miss``, and
-        ``union_lowerings`` counts SELECTs rewritten to
-        UNION-of-index-range form.
+        ``ir.batch.plan.hit`` / ``ir.batch.plan.miss``.
         """
         stats: dict[str, float] = {}
         for metric in ("computed", "shared"):
@@ -242,9 +239,6 @@ class TraceSummary:
         plans = stats.get("plan_hit", 0.0) + stats.get("plan_miss", 0.0)
         if plans:
             stats["plan_hit_rate"] = stats.get("plan_hit", 0.0) / plans
-        unions = self.counters.get("sql.lowering.union")
-        if unions is not None:
-            stats["union_lowerings"] = unions
         return stats
 
     def calibration(self) -> dict[str, float]:
@@ -705,11 +699,6 @@ def format_report(summary: TraceSummary, top: int = 25) -> str:
                 f"  operand plans: {int(disjunction.get('plan_hit', 0))} "
                 f"reused, {int(disjunction.get('plan_miss', 0))} "
                 f"planned (reuse rate {rate:.1%})"
-            )
-        if "union_lowerings" in disjunction:
-            out.append(
-                "  union lowerings adopted: "
-                f"{int(disjunction['union_lowerings'])}"
             )
         out.append("")
     rates = summary.hit_rates()

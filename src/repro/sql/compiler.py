@@ -44,8 +44,6 @@ from repro.core.predicates import (
     Predicate,
     TruePredicate,
     Value,
-    conjunction,
-    disjunction,
 )
 from repro.exceptions import PredicateError
 from repro.ir.visitor import PredicateVisitor
@@ -184,73 +182,3 @@ def count_statement(table: str, predicate: Predicate) -> str:
     """``SELECT COUNT(*) ...`` used for selectivity measurement."""
     return select_statement(table, predicate, columns="COUNT(*)")
 
-
-# ---------------------------------------------------------------------------
-# UNION-of-index-range lowering for wide disjunctions
-# ---------------------------------------------------------------------------
-
-#: Ceiling on UNION branches.  Each branch is a separate sub-plan for
-#: SQLite to optimize and a separate cursor at runtime; past a few dozen
-#: branches the planning overhead swamps any seek savings, and the flat
-#: OR (even scanned) wins.
-DEFAULT_MAX_UNION_BRANCHES = 16
-
-
-def union_eligible(
-    predicate: Predicate,
-    max_branches: int = DEFAULT_MAX_UNION_BRANCHES,
-) -> bool:
-    """Whether ``predicate`` is an OR the union lowering can split.
-
-    Eligible shapes are top-level ORs of at most ``max_branches``
-    disjuncts, each an atom or a conjunction (the indexable unit) —
-    nested top-level ORs would need recursive flattening and constant
-    disjuncts mean the simplifier has not run.
-    """
-    if not isinstance(predicate, Or):
-        return False
-    if len(predicate.operands) > max_branches:
-        return False
-    return all(
-        not isinstance(op, (Or, TruePredicate, FalsePredicate))
-        for op in predicate.operands
-    )
-
-
-def union_select_statement(
-    table: str,
-    predicate: Or,
-    columns: str = "*",
-) -> str:
-    """Lower an OR-of-conjunctions to disjoint ``UNION ALL`` branches.
-
-    SQLite's multi-index OR optimization is all-or-nothing and cost-gated:
-    a wide disjunction of moderately selective conjunctions falls back to
-    one full scan that re-evaluates the entire OR expression per row.
-    Splitting each disjunct into its own SELECT lets the planner pick an
-    index per branch independently.
-
-    ``UNION ALL`` (not ``UNION``) keeps bag semantics — plain UNION would
-    collapse duplicate *table rows*.  Branches are made disjoint instead:
-    branch ``i`` appends ``AND (d_1 OR ... OR d_{i-1}) IS NOT TRUE``, so
-    every row is emitted by exactly the branch of its first true
-    disjunct.  The disjointness term goes through :class:`Not`'s normal
-    lowering (``IS NOT TRUE``), which maps SQL's unknown to true — NULL
-    rows stay exactly where two-valued ``evaluate`` puts them, preserving
-    the NULL-parity contract of the flat form.
-    """
-    if not isinstance(predicate, Or):
-        raise PredicateError(
-            "union_select_statement requires a top-level OR"
-        )
-    operands = predicate.operands
-    branches = []
-    for i, disjunct in enumerate(operands):
-        if i == 0:
-            where: Predicate = disjunct
-        else:
-            where = conjunction(
-                [disjunct, Not(disjunction(list(operands[:i])))]
-            )
-        branches.append(select_statement(table, where, columns))
-    return " UNION ALL ".join(branches)

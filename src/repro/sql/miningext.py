@@ -283,13 +283,12 @@ class PredictionJoinExecutor:
         with obs.span(
             "execute.naive", table=query.table
         ) as execute_span:
-            sql = select_statement(query.table, query.relational_predicate)
-            plan = capture_plan(
+            select = capture_select_plan(
                 self._db, query.table, query.relational_predicate
             )
             with obs.span("execute.sql", table=query.table) as sql_span:
                 started = time.perf_counter()
-                fetched = self._db.query_rows(sql)
+                fetched = self._db.query_rows(select.sql)
                 sql_seconds = time.perf_counter() - started
                 sql_span.set("rows_fetched", len(fetched))
 
@@ -312,7 +311,7 @@ class PredictionJoinExecutor:
                 rows_fetched=len(fetched),
                 sql_seconds=sql_seconds,
                 model_seconds=model_seconds,
-                plan=plan,
+                plan=select.plan,
                 predictions=predictions,
             )
 

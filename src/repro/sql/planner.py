@@ -16,13 +16,8 @@ import re
 from dataclasses import dataclass
 
 from repro import obs
-from repro.core.predicates import FalsePredicate, Or, Predicate
-from repro.sql.compiler import (
-    DEFAULT_MAX_UNION_BRANCHES,
-    select_statement,
-    union_eligible,
-    union_select_statement,
-)
+from repro.core.predicates import FalsePredicate, Predicate
+from repro.sql.compiler import select_statement
 from repro.sql.database import Database
 
 _SEARCH_INDEX = re.compile(r"USING (?:COVERING )?INDEX (\S+)")
@@ -71,24 +66,8 @@ CONSTANT_SCAN_PLAN = Plan(
 
 
 def capture_plan(db: Database, table: str, predicate: Predicate) -> Plan:
-    """Plan of ``SELECT * FROM table WHERE predicate``.
-
-    A FALSE predicate is resolved to a constant scan *before* reaching the
-    engine — the optimizer knows the envelope is empty from the catalog and
-    never needs the data (paper Section 5.2.1 case (b)).
-    """
-    with obs.span("plan.capture", table=table) as sp:
-        if isinstance(predicate, FalsePredicate):
-            plan = CONSTANT_SCAN_PLAN
-        else:
-            sql = select_statement(table, predicate)
-            plan = parse_explain(db.explain(sql))
-        if obs.enabled():
-            sp.update(
-                access_path=plan.access_path.value,
-                indexes=list(plan.index_names),
-            )
-        return plan
+    """Plan of ``SELECT * FROM table WHERE predicate``."""
+    return capture_select_plan(db, table, predicate).plan
 
 
 def parse_explain(rows: list[tuple[int, int, int, str]]) -> Plan:
@@ -109,64 +88,37 @@ def parse_explain(rows: list[tuple[int, int, int, str]]) -> Plan:
 
 @dataclass(frozen=True)
 class SelectPlan:
-    """A SELECT statement together with the plan that chose its shape."""
+    """The SELECT statement the executor issues and its captured plan."""
 
     sql: str
     plan: Plan
-    used_union: bool
-    branches: int
-
-    @property
-    def uses_index(self) -> bool:
-        return self.plan.uses_index
 
 
 def capture_select_plan(
-    db: Database,
-    table: str,
-    predicate: Predicate,
-    columns: str = "*",
-    max_branches: int = DEFAULT_MAX_UNION_BRANCHES,
+    db: Database, table: str, predicate: Predicate
 ) -> SelectPlan:
-    """Plan-aware SELECT lowering with a UNION-of-index-range fallback.
+    """Render ``SELECT * FROM table WHERE predicate`` once and plan it.
 
-    Captures the flat ``WHERE`` plan first.  When the flat form of an
-    eligible OR-of-conjunctions full-scans (SQLite's multi-index OR is
-    all-or-nothing and cost-gated), the disjoint ``UNION ALL`` lowering
-    is tried; it is adopted only if its captured plan seeks an index on
-    *every* branch — a union that still scans some branch would repeat
-    full table passes and is strictly worse than one flat scan.  Counter
-    ``sql.lowering.union`` counts adoptions.
+    The flat statement is the only SQL issued: the choice of access path
+    is left to SQLite's optimizer over the tuned indexes (paper §4), and
+    the plan recorded is the plan of exactly the text that runs.
+
+    A FALSE predicate is resolved to a constant scan *before* reaching the
+    engine — the optimizer knows the envelope is empty from the catalog and
+    never needs the data (paper Section 5.2.1 case (b)).
     """
-    with obs.span("plan.capture_select", table=table) as sp:
-        flat = capture_plan(db, table, predicate)
-        chosen = SelectPlan(
-            sql=select_statement(table, predicate, columns),
-            plan=flat,
-            used_union=False,
-            branches=1,
-        )
-        if flat.access_path is AccessPath.FULL_SCAN and union_eligible(
-            predicate, max_branches
-        ):
-            assert isinstance(predicate, Or)
-            union_sql = union_select_statement(table, predicate, columns)
-            union_plan = parse_explain(db.explain(union_sql))
-            if union_plan.access_path is AccessPath.INDEX_SEARCH:
-                obs.add_counter("sql.lowering.union", 1)
-                chosen = SelectPlan(
-                    sql=union_sql,
-                    plan=union_plan,
-                    used_union=True,
-                    branches=len(predicate.operands),
-                )
+    with obs.span("plan.capture", table=table) as sp:
+        sql = select_statement(table, predicate)
+        if isinstance(predicate, FalsePredicate):
+            plan = CONSTANT_SCAN_PLAN
+        else:
+            plan = parse_explain(db.explain(sql))
         if obs.enabled():
             sp.update(
-                access_path=chosen.plan.access_path.value,
-                used_union=chosen.used_union,
-                branches=chosen.branches,
+                access_path=plan.access_path.value,
+                indexes=list(plan.index_names),
             )
-        return chosen
+        return SelectPlan(sql=sql, plan=plan)
 
 
 @dataclass(frozen=True)

@@ -31,6 +31,8 @@ ROWS = [
     (4, "berlin", None),
     (5, None, None),
     (6, "paris", 60),
+    # Row 6's payload again under a new id: both copies must come back.
+    (7, "paris", 60),
 ]
 
 
@@ -56,6 +58,20 @@ def eval_ids(pred):
     }
 
 
+#: The disjunctions, shared with the tests of the SELECT the executor
+#: issues (``test_select_lowering``).
+OR_PARITY_CASES = [
+    Or((equals("city", "rome"), Comparison("n", Op.NE, 10))),
+    Or((Not(InSet("city", ("paris",))), equals("n", 60))),
+    Or((equals("city", "paris"), equals("city", "rome"), equals("n", 30))),
+    Or((
+        And((equals("city", "paris"), Comparison("n", Op.NE, 60))),
+        And((Comparison("city", Op.NE, "paris"), InSet("n", (30, 60)))),
+    )),
+    # Overlapping disjuncts: rows satisfying both must appear once.
+    Or((equals("city", "paris"), Comparison("n", Op.NE, 10))),
+]
+
 PARITY_CASES = [
     equals("city", "paris"),
     Comparison("city", Op.NE, "paris"),
@@ -65,10 +81,9 @@ PARITY_CASES = [
     Not(equals("city", "paris")),
     Not(Not(equals("city", "paris"))),
     And((Comparison("city", Op.NE, "paris"), Comparison("n", Op.NE, 10))),
-    Or((equals("city", "rome"), Comparison("n", Op.NE, 10))),
     Not(And((equals("city", "paris"), equals("n", 10)))),
     Not(Or((InSet("city", ("rome",)), equals("n", 30)))),
-    Or((Not(InSet("city", ("paris",))), equals("n", 60))),
+    *OR_PARITY_CASES,
 ]
 
 
@@ -78,6 +93,16 @@ class TestNullParity:
     )
     def test_sql_matches_evaluate(self, connection, pred):
         assert sql_ids(connection, pred) == eval_ids(pred)
+
+    @pytest.mark.parametrize(
+        "pred", OR_PARITY_CASES, ids=[repr(p) for p in OR_PARITY_CASES]
+    )
+    def test_or_returns_each_row_once(self, connection, pred):
+        # Sorted lists, not sets: a row matching several disjuncts comes
+        # back once, and rows 6 and 7 (one payload) both come back.
+        sql = f"SELECT id FROM t WHERE {compile_predicate(pred)}"
+        got = sorted(row[0] for row in connection.execute(sql))
+        assert got == sorted(eval_ids(pred))
 
     def test_ne_keeps_null_rows(self, connection):
         pred = Comparison("city", Op.NE, "paris")
@@ -91,7 +116,7 @@ class TestNullParity:
         # NOT over a conjunction whose inner result is unknown on NULL
         # rows: IS NOT TRUE maps unknown to true, matching evaluate().
         pred = Not(And((equals("city", "paris"), equals("n", 10))))
-        assert sql_ids(connection, pred) == {2, 3, 4, 5, 6}
+        assert sql_ids(connection, pred) == {2, 3, 4, 5, 6, 7}
 
     def test_ordered_comparison_on_none_raises(self):
         # Ordered comparisons are exempt from the parity contract:
